@@ -39,7 +39,7 @@ from .evaluation import (
     pixel_diff,
     sparsity_profile,
 )
-from .experiment import ExperimentPlan, grid_plans, run_experiment, run_grid
+from .experiment import ExperimentPlan, grid_plans, run_experiment
 from .models import (
     ClassifierParams,
     TrainConfig,

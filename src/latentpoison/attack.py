@@ -20,7 +20,6 @@ L1 or L2 penalty on the perturbation.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -33,21 +32,16 @@ from .models import (
     ClassifierParams,
     TrainConfig,
     VaeParams,
+    _classifier_config,
+    _epoch_batches,
+    _require_both_classes,
     classify,
     decode,
     encode,
     train_classifier,
     vae_batch_loss,
 )
-from .seeds import (
-    ATTACK_CLASSIFIER,
-    ATTACK_INIT,
-    LATENT_NOISE,
-    PARAM_INIT,
-    SHUFFLE,
-    derive_seed,
-    stream,
-)
+from .seeds import ATTACK_INIT, LATENT_NOISE, PARAM_INIT, SHUFFLE, stream
 
 FAMILIES = ("additive", "multiplicative")
 DIRECTIONS = ("0to1", "1to0")
@@ -114,11 +108,17 @@ class Perturbation:
         return self.delta.shape[0]
 
 
-def _check_lengths(z, delta) -> None:
-    z_dim = z.data.shape[-1] if isinstance(z, Tensor) else np.asarray(z).shape[-1]
-    d_dim = delta.data.shape[-1] if isinstance(delta, Tensor) else np.asarray(delta).shape[-1]
-    if z_dim != d_dim:
-        raise ShapeMismatchError(f"latent width {z_dim} vs perturbation width {d_dim}")
+def _operands(z, delta):
+    """Plain operands as float64 arrays; z becomes a tensor when delta is one."""
+    if not isinstance(z, Tensor):
+        z = Tensor(z) if isinstance(delta, Tensor) else np.asarray(z, dtype=np.float64)
+    if not isinstance(delta, Tensor):
+        delta = np.asarray(delta, dtype=np.float64)
+    if z.shape[-1] != delta.shape[-1]:
+        raise ShapeMismatchError(
+            f"latent width {z.shape[-1]} vs perturbation width {delta.shape[-1]}"
+        )
+    return z, delta
 
 
 def apply_additive(z, delta, direction: str):
@@ -129,20 +129,14 @@ def apply_additive(z, delta, direction: str):
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    _check_lengths(z, delta)
-    if isinstance(z, Tensor) or isinstance(delta, Tensor):
-        return z + delta if direction == "0to1" else z - delta
-    z, delta = np.asarray(z, dtype=np.float64), np.asarray(delta, dtype=np.float64)
+    z, delta = _operands(z, delta)
     return z + delta if direction == "0to1" else z - delta
 
 
 def apply_multiplicative(z, delta):
     """Gate encodings elementwise: z * (1 + delta), same form for both directions."""
-    _check_lengths(z, delta)
-    if isinstance(z, Tensor) or isinstance(delta, Tensor):
-        return z * (delta + 1.0)
-    z, delta = np.asarray(z, dtype=np.float64), np.asarray(delta, dtype=np.float64)
-    return z * (1.0 + delta)
+    z, delta = _operands(z, delta)
+    return z * (delta + 1.0)
 
 
 def apply_perturbation(z, perturbation: Perturbation, direction: str):
@@ -161,33 +155,27 @@ def attack_loss(scores: Tensor, labels, delta, norm_order: int, reg_weight: floa
 
 
 def _init_deltas(latent_dim: int, config: AttackConfig) -> tuple[Tensor, Tensor | None]:
-    if config.random_init:
-        rng = stream(config.seed, ATTACK_INIT)
-        forward = Tensor(rng.normal(0.0, 0.01, latent_dim), name="delta")
-        reverse = (
-            Tensor(rng.normal(0.0, 0.01, latent_dim), name="delta_reverse")
-            if config.per_direction
-            else None
-        )
-    else:
-        forward = Tensor(np.zeros(latent_dim), name="delta")
-        reverse = (
-            Tensor(np.zeros(latent_dim), name="delta_reverse") if config.per_direction else None
-        )
-    return forward, reverse
+    rng = stream(config.seed, ATTACK_INIT)
+
+    def start(name: str) -> Tensor:
+        values = rng.normal(0.0, 0.01, latent_dim) if config.random_init else np.zeros(latent_dim)
+        return Tensor(values, name=name)
+
+    return start("delta"), start("delta_reverse") if config.per_direction else None
 
 
 def _tampered_codes(mu: Tensor, labels: np.ndarray, delta: Tensor, reverse: Tensor | None,
                     family: str) -> Tensor:
+    """Each code tampered in its own label's direction, as one batch."""
     if family == "multiplicative":
         return apply_multiplicative(mu, delta)
     if reverse is None:
         # +delta where the label is 0, -delta where it is 1
         sign = Tensor((1.0 - 2.0 * labels).reshape(-1, 1))
-        return mu + sign * delta
+        return apply_additive(mu, sign * delta, "0to1")
     up = Tensor((labels == 0).astype(np.float64).reshape(-1, 1))
     down = Tensor((labels == 1).astype(np.float64).reshape(-1, 1))
-    return mu + up * delta - down * reverse
+    return apply_additive(apply_additive(mu, up * delta, "0to1"), down * reverse, "1to0")
 
 
 def _attack_batch_loss(
@@ -250,7 +238,7 @@ def learn_attack_independent(
     optimizer = Adam(trained, config.lr)
     for epoch in range(config.epochs):
         shuffle = stream(config.seed, SHUFFLE, epoch)
-        for idx in _batches(len(dataset), config.batch_size, shuffle):
+        for idx in _epoch_batches(len(dataset), config.batch_size, shuffle):
             loss = _attack_batch_loss(
                 vae, classifier, dataset.images[idx], dataset.labels[idx],
                 delta, reverse, config,
@@ -260,19 +248,6 @@ def learn_attack_independent(
             ad.backward(loss)
             optimizer.step()
     return _finish(delta, reverse, config, "independent")
-
-
-def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
-    order = rng.permutation(n)
-    return [order[start : start + batch_size] for start in range(0, n, batch_size)]
-
-
-def _attack_classifier_config(vae_config: TrainConfig) -> TrainConfig:
-    return dataclasses.replace(
-        vae_config,
-        recon_class_weight=0.0,
-        seed=derive_seed(vae_config.seed, ATTACK_CLASSIFIER),
-    )
 
 
 def _run_poisoning(
@@ -292,7 +267,8 @@ def _run_poisoning(
     reproduces the exact VAE a standalone training run would yield for the
     same config.
     """
-    classifier = train_classifier(dataset, _attack_classifier_config(vae_config), role="attack")
+    _require_both_classes(dataset, "attack training")
+    classifier = train_classifier(dataset, _classifier_config(vae_config, "attack"), "attack")
     vae = VaeParams.initialize(
         dataset.image_dim, vae_config.latent_dim, stream(vae_config.seed, PARAM_INIT)
     )
@@ -305,7 +281,7 @@ def _run_poisoning(
     for epoch in range(max(vae_config.epochs, attack_config.epochs)):
         noise_rng = stream(vae_config.seed, LATENT_NOISE, epoch)
         shuffle = stream(vae_config.seed, SHUFFLE, epoch)
-        for idx in _batches(len(dataset), vae_config.batch_size, shuffle):
+        for idx in _epoch_batches(len(dataset), vae_config.batch_size, shuffle):
             x, y = dataset.images[idx], dataset.labels[idx]
             if epoch < vae_config.epochs:
                 loss = vae_batch_loss(vae, x, y, vae_config, noise_rng, recon_classifier)
@@ -334,7 +310,6 @@ def learn_attack_poisoning(
     VAE as it currently stands, so the final vector is adapted to the
     finished model without ever influencing it.
     """
-    _require_both_classes(dataset)
     vae, _, perturbation = _run_poisoning(
         dataset, vae_config, attack_config, with_class_term=False, provenance="poisoning"
     )
@@ -358,13 +333,7 @@ def learn_attack_poisoning_class(
             "poisoning+class requires recon_class_weight > 0; "
             "use learn_attack_poisoning for a plain poisoning run"
         )
-    _require_both_classes(dataset)
     vae, classifier, perturbation = _run_poisoning(
         dataset, vae_config, attack_config, with_class_term=True, provenance="poisoning+class"
     )
     return vae, classifier, perturbation
-
-
-def _require_both_classes(dataset: Dataset) -> None:
-    if len(dataset.class_indices(0)) == 0 or len(dataset.class_indices(1)) == 0:
-        raise ValueError("attack training requires samples from both classes")

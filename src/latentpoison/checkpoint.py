@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .attack import Perturbation
-from .autodiff import Tensor
 from .models import INIT_SCHEME, ClassifierParams, VaeParams
 
 MAGIC_PREFIX = b"LPZ"
@@ -63,23 +62,12 @@ def _flatten(arrays) -> bytes:
 
 
 def _describe(artifact, config: dict | None) -> tuple[str, dict, bytes]:
-    if isinstance(artifact, VaeParams):
-        desc = {
-            "kind": "vae",
-            "image_dim": artifact.image_dim,
-            "latent_dim": artifact.latent_dim,
-            "hidden": list(artifact.hidden),
-            "init": INIT_SCHEME,
-        }
-        payload = _flatten(p.data for p in artifact.parameters())
-    elif isinstance(artifact, ClassifierParams):
-        desc = {
-            "kind": "classifier",
-            "image_dim": artifact.image_dim,
-            "hidden": list(artifact.hidden),
-            "role": artifact.role,
-            "init": INIT_SCHEME,
-        }
+    if isinstance(artifact, (VaeParams, ClassifierParams)):
+        desc = {"image_dim": artifact.image_dim, "hidden": list(artifact.hidden), "init": INIT_SCHEME}
+        if isinstance(artifact, VaeParams):
+            desc |= {"kind": "vae", "latent_dim": artifact.latent_dim}
+        else:
+            desc |= {"kind": "classifier", "role": artifact.role}
         payload = _flatten(p.data for p in artifact.parameters())
     elif isinstance(artifact, Perturbation):
         desc = {
@@ -151,59 +139,44 @@ def _split_payload(payload: bytes, shapes: list[tuple[int, ...]], path) -> list[
     return arrays
 
 
-def _rebuild_vae(desc: dict, payload: bytes, path) -> VaeParams:
-    image_dim, latent_dim = desc["image_dim"], desc["latent_dim"]
-    hidden = tuple(desc["hidden"])
-    sizes = [image_dim, *hidden]
-    shapes: list[tuple[int, ...]] = []
-    for i in range(len(hidden)):
-        shapes += [(sizes[i], sizes[i + 1]), (sizes[i + 1],)]
-    shapes += [(sizes[-1], latent_dim), (latent_dim,)] * 2
-    dec_sizes = [latent_dim, *reversed(hidden), image_dim]
-    for i in range(len(dec_sizes) - 1):
-        shapes += [(dec_sizes[i], dec_sizes[i + 1]), (dec_sizes[i + 1],)]
-    arrays = _split_payload(payload, shapes, path)
-    pairs = [
-        (Tensor(arrays[i], name=f"p{i}"), Tensor(arrays[i + 1], name=f"p{i + 1}"))
-        for i in range(0, len(arrays), 2)
-    ]
-    n_enc = len(hidden)
-    return VaeParams(
-        encoder_layers=pairs[:n_enc],
-        mu_head=pairs[n_enc],
-        log_var_head=pairs[n_enc + 1],
-        decoder_layers=pairs[n_enc + 2 :],
-        latent_dim=latent_dim,
-        image_dim=image_dim,
-        hidden=hidden,
-    )
+def _field(desc: dict, name: str, kind, path):
+    """A descriptor field, checked for presence and type; lists hold layer widths."""
+    if name not in desc:
+        raise CheckpointError(f"{path}: descriptor lacks field {name!r}")
+    value = desc[name]
+    if not isinstance(value, kind) or (kind is list and not all(isinstance(v, int) for v in value)):
+        raise CheckpointError(f"{path}: descriptor field {name!r} has the wrong type: {value!r}")
+    return value
 
 
-def _rebuild_classifier(desc: dict, payload: bytes, path) -> ClassifierParams:
-    image_dim, hidden = desc["image_dim"], tuple(desc["hidden"])
-    sizes = [image_dim, *hidden, 1]
-    shapes: list[tuple[int, ...]] = []
-    for i in range(len(sizes) - 1):
-        shapes += [(sizes[i], sizes[i + 1]), (sizes[i + 1],)]
-    arrays = _split_payload(payload, shapes, path)
-    layers = [
-        (Tensor(arrays[i], name=f"p{i}"), Tensor(arrays[i + 1], name=f"p{i + 1}"))
-        for i in range(0, len(arrays), 2)
+def _rebuild_network(desc: dict, payload: bytes, path):
+    image_dim = _field(desc, "image_dim", int, path)
+    hidden = tuple(_field(desc, "hidden", list, path))
+    if desc["kind"] == "vae":
+        network, dims = VaeParams, (image_dim, _field(desc, "latent_dim", int, path), hidden)
+        extra = ()
+    else:
+        network, dims = ClassifierParams, (image_dim, hidden)
+        extra = (_field(desc, "role", str, path),)
+    shapes = [
+        shape
+        for _, fan_in, fan_out in network.layout(*dims)
+        for shape in ((fan_in, fan_out), (fan_out,))
     ]
-    return ClassifierParams(layers=layers, role=desc["role"], image_dim=image_dim, hidden=hidden)
+    return network._from_arrays(_split_payload(payload, shapes, path), *dims, *extra)
 
 
 def _rebuild_perturbation(desc: dict, payload: bytes, path) -> Perturbation:
-    latent_dim = desc["latent_dim"]
-    shapes = [(latent_dim,)] * (2 if desc.get("per_direction") else 1)
-    arrays = _split_payload(payload, shapes, path)
+    latent_dim = _field(desc, "latent_dim", int, path)
+    per_direction = _field(desc, "per_direction", bool, path)
+    arrays = _split_payload(payload, [(latent_dim,)] * (2 if per_direction else 1), path)
     return Perturbation(
         delta=arrays[0],
-        norm_order=desc["norm_order"],
-        family=desc["family"],
-        reg_weight=desc["reg_weight"],
-        provenance=desc["provenance"],
-        delta_reverse=arrays[1] if len(arrays) == 2 else None,
+        norm_order=_field(desc, "norm_order", int, path),
+        family=_field(desc, "family", str, path),
+        reg_weight=_field(desc, "reg_weight", (int, float), path),
+        provenance=_field(desc, "provenance", str, path),
+        delta_reverse=arrays[1] if per_direction else None,
     )
 
 
@@ -228,7 +201,12 @@ def load_checkpoint(path, expect_kind: str | None = None):
         raise CheckpointError(f"{path}: unknown artifact kind byte {kind_byte}")
     kind = _KIND_NAMES[kind_byte]
     (desc_len,) = struct.unpack("<I", reader.take(4, "descriptor length"))
-    desc = json.loads(reader.take(desc_len, "descriptor").decode("utf-8"))
+    try:
+        desc = json.loads(reader.take(desc_len, "descriptor").decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: descriptor is not valid JSON: {exc}") from exc
+    if not isinstance(desc, dict):
+        raise CheckpointError(f"{path}: descriptor is not a JSON object")
     if desc.get("kind") != kind:
         raise CheckpointError(
             f"{path}: descriptor kind {desc.get('kind')!r} disagrees with header {kind!r}"
@@ -240,9 +218,5 @@ def load_checkpoint(path, expect_kind: str | None = None):
         raise CheckpointHashError(f"{path}: payload hash mismatch, file is corrupt")
     if expect_kind is not None and kind != expect_kind:
         raise CheckpointKindError(f"{path}: holds a {kind}, expected a {expect_kind}")
-    builder = {
-        "vae": _rebuild_vae,
-        "classifier": _rebuild_classifier,
-        "perturbation": _rebuild_perturbation,
-    }[kind]
-    return builder(desc, payload, path), desc.get("config")
+    rebuild = _rebuild_perturbation if kind == "perturbation" else _rebuild_network
+    return rebuild(desc, payload, path), desc.get("config")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,12 +25,13 @@ from .attack import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, apply_config, load_config_file
 from .data import generate_synthetic, load_idx, save_idx, split
-from .evaluation import evaluate_attack
-from .experiment import ExperimentPlan, grid_plans, run_grid
+from .evaluation import ROW_NAMES, evaluate_attack
+from .experiment import ExperimentPlan, grid_plans, run_experiment
 from .models import TrainConfig, train_classifier, train_vae
 from .reporting import render_grid, write_delta, write_report
 
 REG_WEIGHT_SWEEP = (0.001, 0.01, 0.1, 1.0)
+GRID_FIXED = ("mode", "family", "norm_order", "out_dir")  # run-grid sets these per plan
 
 
 def _flag_name(field_name: str) -> str:
@@ -54,19 +56,22 @@ def _add_dataclass_flags(parser: argparse.ArgumentParser, template, skip=()) -> 
             )
 
 
-def _merge(template, args: argparse.Namespace, skip=()):
-    """defaults < config file < explicit flags, with unknown keys rejected."""
-    instance = template
-    if getattr(args, "config", None):
-        file_values = load_config_file(args.config)
-        relevant = {k: v for k, v in file_values.items()}
-        instance = apply_config(instance, relevant)
+def _merge(template, args: argparse.Namespace, file_values=None, skip=(), prefix=""):
+    """defaults < config file < explicit flags, with unknown keys rejected.
+
+    ``file_values`` defaults to the ``--config`` file and may not set the
+    command's own ``skip`` keys; field ``f`` reads its flag from ``args.<prefix>f``.
+    """
+    if file_values is None:
+        file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in skip:
+        if key in file_values:
+            raise ConfigError(f"{args.config}: key {key!r} is fixed by this command")
+    instance = apply_config(template, file_values)
     overrides = {}
     for f in dataclasses.fields(template):
-        if f.name in skip:
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
+        value = getattr(args, prefix + f.name, None)
+        if f.name not in skip and value is not None:
             overrides[f.name] = value
     return dataclasses.replace(instance, **overrides)
 
@@ -131,29 +136,19 @@ def cmd_train_classifier(args) -> int:
 
 
 def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig]:
-    """Merge learn-attack settings; ``vae_``-prefixed file keys configure the VAE."""
+    """Merge learn-attack settings; ``vae_``-prefixed keys and flags configure the VAE.
+
+    The VAE trains on the attack's batches, so its batch size follows the attack's.
+    """
     file_values = load_config_file(args.config) if args.config else {}
-    attack_values = {k: v for k, v in file_values.items() if not k.startswith("vae_")}
-    vae_values = {k[len("vae_") :]: v for k, v in file_values.items() if k.startswith("vae_")}
-    attack_cfg = apply_config(AttackConfig(), attack_values)
-    for f in dataclasses.fields(AttackConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            attack_cfg = dataclasses.replace(attack_cfg, **{f.name: value})
-    vae_cfg = apply_config(TrainConfig(), vae_values)
-    flag_map = {
-        "epochs": args.vae_epochs,
-        "lr": args.vae_lr,
-        "seed": args.vae_seed,
-        "kl_weight": args.kl_weight,
-        "recon_class_weight": args.recon_class_weight,
-        "latent_dim": args.latent_dim,
-    }
-    for name, value in flag_map.items():
-        if value is not None:
-            vae_cfg = dataclasses.replace(vae_cfg, **{name: value})
-    vae_cfg = dataclasses.replace(vae_cfg, batch_size=attack_cfg.batch_size)
-    return attack_cfg, vae_cfg
+    vae_keys = [k for k in file_values if k.startswith("vae_")]
+    attack_cfg = _merge(
+        AttackConfig(), args, {k: v for k, v in file_values.items() if k not in vae_keys}
+    )
+    vae_cfg = _merge(
+        TrainConfig(), args, {k[len("vae_") :]: file_values[k] for k in vae_keys}, prefix="vae_"
+    )
+    return attack_cfg, dataclasses.replace(vae_cfg, batch_size=attack_cfg.batch_size)
 
 
 def cmd_learn_attack(args) -> int:
@@ -161,6 +156,11 @@ def cmd_learn_attack(args) -> int:
     dataset = _load_dataset(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if args.mode == "independent":
+        if not args.vae or not args.classifier:
+            raise ConfigError("independent mode requires --vae and --classifier")
+        vae, _ = load_checkpoint(args.vae, expect_kind="vae")
+        classifier, _ = load_checkpoint(args.classifier, expect_kind="classifier")
     weights = REG_WEIGHT_SWEEP if args.sweep else (attack_cfg.reg_weight,)
     for reg_weight in weights:
         cfg = dataclasses.replace(attack_cfg, reg_weight=reg_weight)
@@ -168,10 +168,6 @@ def cmd_learn_attack(args) -> int:
         suffix = f"_reg_{reg_weight}" if args.sweep else ""
         echo = dataclasses.asdict(cfg) | {"mode": args.mode}
         if args.mode == "independent":
-            if not args.vae or not args.classifier:
-                raise ConfigError("independent mode requires --vae and --classifier")
-            vae, _ = load_checkpoint(args.vae, expect_kind="vae")
-            classifier, _ = load_checkpoint(args.classifier, expect_kind="classifier")
             perturbation = learn_attack_independent(vae, classifier, dataset, cfg)
         else:
             _echo("learn-attack.vae", vae_cfg)
@@ -217,18 +213,31 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run_grid(args) -> int:
-    base = _merge(ExperimentPlan(), args, skip=("mode", "family", "norm_order", "out_dir"))
+    base = _merge(ExperimentPlan(), args, skip=GRID_FIXED)
     plans = grid_plans(
         args.out_dir, base=base, include_multiplicative=args.include_multiplicative
     )
     print(f"running {len(plans)} plans under {args.out_dir}")
-    reports = run_grid(plans, workers=args.workers)
-    for plan, report in zip(plans, reports):
-        gap = max(abs(report.epsilon_plus), abs(report.epsilon_minus))
+    results = []
+    for plan in plans:
+        start = time.perf_counter()
+        results.append((plan, run_experiment(plan)))
+        print(f"done: {Path(plan.out_dir).name} ({time.perf_counter() - start:.0f}s)", flush=True)
+    for family in dict.fromkeys(plan.family for plan in plans):
+        columns = [(plan, report) for plan, report in results if plan.family == family]
+        print(f"\nConfidence means, {family} family (eval classifier, test set)")
+        print(f"{'group':24s}" + "".join(
+            f"{plan.mode[:12]:>13s}/L{plan.norm_order}" for plan, _ in columns
+        ))
+        for name in ROW_NAMES:
+            print(f"{name:24s}" + "".join(f"{r.row(name).mean:16.3f}" for _, r in columns))
+    print("\nGap and sparsity")
+    for plan, report in results:
         print(
-            f"{Path(plan.out_dir).name}: attacked "
-            f"{report.row('attacked_0to1').mean:.3f}/{report.row('attacked_1to0').mean:.3f} "
-            f"|eps|max {gap:.3f} sparsity {report.sparsity_fraction:.3f}"
+            f"{plan.mode:16s} L{plan.norm_order} {plan.family:14s} "
+            f"eps+ {report.epsilon_plus:+.3f}  eps- {report.epsilon_minus:+.3f}  "
+            f"sparsity {report.sparsity_fraction:.3f}  "
+            f"max detection {report.detection_max:.3f}"
         )
     return 0
 
@@ -290,12 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", help="classifier checkpoint (independent mode)")
     p.add_argument("--sweep", action="store_true",
                    help=f"repeat for reg weights {REG_WEIGHT_SWEEP}")
+    # VAE flags for the poisoning modes; all land in args.vae_<TrainConfig field>
     p.add_argument("--vae-epochs", type=int, default=None, help="poisoning modes")
     p.add_argument("--vae-lr", type=float, default=None, help="poisoning modes")
     p.add_argument("--vae-seed", type=int, default=None, help="poisoning modes")
-    p.add_argument("--kl-weight", dest="kl_weight", type=float, default=None)
-    p.add_argument("--recon-class-weight", dest="recon_class_weight", type=float, default=None)
-    p.add_argument("--latent-dim", dest="latent_dim", type=int, default=None)
+    p.add_argument("--kl-weight", dest="vae_kl_weight", type=float, default=None)
+    p.add_argument("--recon-class-weight", dest="vae_recon_class_weight", type=float,
+                   default=None)
+    p.add_argument("--latent-dim", dest="vae_latent_dim", type=int, default=None)
     _add_dataclass_flags(p, AttackConfig())
     p.set_defaults(func=cmd_learn_attack)
 
@@ -312,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config")
     p.add_argument("--include-multiplicative", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
-    _add_dataclass_flags(p, ExperimentPlan(), skip=("mode", "family", "norm_order", "out_dir"))
+    _add_dataclass_flags(p, ExperimentPlan(), skip=GRID_FIXED)
     p.set_defaults(func=cmd_run_grid)
 
     p = sub.add_parser("render", help="tile IDX images into a PGM grid")

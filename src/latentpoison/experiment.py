@@ -10,7 +10,6 @@ regenerated from its report alone.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +18,7 @@ import numpy as np
 from .attack import (
     AttackConfig,
     Perturbation,
+    apply_perturbation,
     learn_attack_independent,
     learn_attack_poisoning,
     learn_attack_poisoning_class,
@@ -29,15 +29,15 @@ from .models import (
     ClassifierParams,
     TrainConfig,
     VaeParams,
+    _classifier_config,
     decode,
     encode_mean,
     train_classifier,
     train_vae,
 )
-from .attack import apply_perturbation
 from .checkpoint import save_checkpoint
 from .reporting import render_grid, write_delta, write_report
-from .seeds import ATTACK, ATTACK_CLASSIFIER, EVAL_CLASSIFIER, derive_seed
+from .seeds import ATTACK, derive_seed
 
 MODES = ("independent", "poisoning", "poisoning+class")
 GRID_IMAGES = 16
@@ -129,11 +129,8 @@ def train_artifacts(
     attack_config = plan.attack_config()
     if plan.mode == "independent":
         vae = _stage("train-vae")(train_vae, train_set, vae_config)
-        attack_clf_config = dataclasses.replace(
-            vae_config, seed=derive_seed(plan.seed, ATTACK_CLASSIFIER)
-        )
         attack_classifier = _stage("train-attack-classifier")(
-            train_classifier, train_set, attack_clf_config, "attack"
+            train_classifier, train_set, _classifier_config(vae_config, "attack"), "attack"
         )
         perturbation = _stage("learn-attack")(
             learn_attack_independent, vae, attack_classifier, train_set, attack_config
@@ -189,11 +186,8 @@ def write_outputs(
 def run_experiment(plan: ExperimentPlan) -> AttackReport:
     """Execute the full pipeline for one plan and write all outputs."""
     train_set, test_set = _stage("data")(make_dataset, plan)
-    eval_clf_config = dataclasses.replace(
-        plan.vae_config(), seed=derive_seed(plan.seed, EVAL_CLASSIFIER)
-    )
     eval_classifier = _stage("train-eval-classifier")(
-        train_classifier, train_set, eval_clf_config, "eval"
+        train_classifier, train_set, _classifier_config(plan.vae_config(), "eval"), "eval"
     )
     vae, attack_classifier, perturbation = train_artifacts(plan, train_set)
     report = _stage("evaluate")(
@@ -236,11 +230,3 @@ def grid_plans(
                     )
                 )
     return plans
-
-
-def run_grid(plans: list[ExperimentPlan], workers: int = 1) -> list[AttackReport]:
-    """Run independent plans, optionally on parallel threads."""
-    if workers <= 1:
-        return [run_experiment(plan) for plan in plans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_experiment, plans))

@@ -8,6 +8,7 @@ finite-difference gradient checks tight everywhere.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,15 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, ShapeMismatchError, Tensor
 from .data import Dataset
-from .seeds import LATENT_NOISE, PARAM_INIT, SHUFFLE, stream
+from .seeds import (
+    ATTACK_CLASSIFIER,
+    EVAL_CLASSIFIER,
+    LATENT_NOISE,
+    PARAM_INIT,
+    SHUFFLE,
+    derive_seed,
+    stream,
+)
 
 ENCODER_HIDDEN = (256, 128)
 CLASSIFIER_HIDDEN = (128, 64)
@@ -57,11 +66,39 @@ class TrainConfig:
             raise ValueError("batch_size and latent_dim must be at least 1")
 
 
-def _init_layer(rng, fan_in: int, fan_out: int, name: str) -> tuple[Tensor, Tensor]:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    weights = Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), name=f"{name}.weight")
-    bias = Tensor(np.zeros(fan_out), name=f"{name}.bias")
-    return weights, bias
+def _classifier_config(config: TrainConfig, role: str) -> TrainConfig:
+    """``config`` reseeded for the ``role`` classifier.
+
+    Each role has one sub-seed of ``config.seed``, so every protocol trains
+    the same classifier for a role and the two roles never share weights.
+    """
+    tag = {"attack": ATTACK_CLASSIFIER, "eval": EVAL_CLASSIFIER}[role]
+    return dataclasses.replace(config, seed=derive_seed(config.seed, tag))
+
+
+# A network's layout lists (name, fan_in, fan_out) per layer in parameters()
+# order; initialization draws and checkpoints store the layers in that order.
+
+
+def _chain(prefix: str, sizes: list[int]) -> list[tuple[str, int, int]]:
+    return [(f"{prefix}{i}", sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
+
+
+def _init_arrays(layout: list[tuple[str, int, int]], rng) -> list[np.ndarray]:
+    """Weights and biases per INIT_SCHEME, drawn in layout order."""
+    arrays = []
+    for _, fan_in, fan_out in layout:
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        arrays += [rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)]
+    return arrays
+
+
+def _named_layers(layout: list[tuple[str, int, int]], arrays) -> list[tuple[Tensor, Tensor]]:
+    """Pair flat (weight, bias, ...) arrays into tensors named after their layer."""
+    return [
+        (Tensor(arrays[2 * i], name=f"{name}.weight"), Tensor(arrays[2 * i + 1], name=f"{name}.bias"))
+        for i, (name, _, _) in enumerate(layout)
+    ]
 
 
 @dataclass
@@ -80,22 +117,33 @@ class VaeParams:
     image_dim: int
     hidden: tuple[int, ...]
 
+    @staticmethod
+    def layout(
+        image_dim: int, latent_dim: int, hidden: tuple[int, ...]
+    ) -> list[tuple[str, int, int]]:
+        sizes = [image_dim, *hidden]
+        return [
+            *_chain("enc", sizes),
+            ("mu", sizes[-1], latent_dim),
+            ("log_var", sizes[-1], latent_dim),
+            *_chain("dec", [latent_dim, *reversed(hidden), image_dim]),
+        ]
+
+    @classmethod
+    def _from_arrays(
+        cls, arrays, image_dim: int, latent_dim: int, hidden: tuple[int, ...]
+    ) -> "VaeParams":
+        hidden = tuple(hidden)
+        layers = _named_layers(cls.layout(image_dim, latent_dim, hidden), arrays)
+        n = len(hidden)
+        return cls(layers[:n], layers[n], layers[n + 1], layers[n + 2 :], latent_dim, image_dim, hidden)
+
     @classmethod
     def initialize(
         cls, image_dim: int, latent_dim: int, rng, hidden: tuple[int, ...] = ENCODER_HIDDEN
     ) -> "VaeParams":
-        sizes = [image_dim, *hidden]
-        encoder = [
-            _init_layer(rng, sizes[i], sizes[i + 1], f"enc{i}") for i in range(len(hidden))
-        ]
-        mu_head = _init_layer(rng, sizes[-1], latent_dim, "mu")
-        log_var_head = _init_layer(rng, sizes[-1], latent_dim, "log_var")
-        dec_sizes = [latent_dim, *reversed(hidden), image_dim]
-        decoder = [
-            _init_layer(rng, dec_sizes[i], dec_sizes[i + 1], f"dec{i}")
-            for i in range(len(dec_sizes) - 1)
-        ]
-        return cls(encoder, mu_head, log_var_head, decoder, latent_dim, image_dim, tuple(hidden))
+        arrays = _init_arrays(cls.layout(image_dim, latent_dim, hidden), rng)
+        return cls._from_arrays(arrays, image_dim, latent_dim, hidden)
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -119,15 +167,23 @@ class ClassifierParams:
     image_dim: int
     hidden: tuple[int, ...]
 
+    @staticmethod
+    def layout(image_dim: int, hidden: tuple[int, ...]) -> list[tuple[str, int, int]]:
+        return _chain("clf", [image_dim, *hidden, 1])
+
+    @classmethod
+    def _from_arrays(
+        cls, arrays, image_dim: int, hidden: tuple[int, ...], role: str
+    ) -> "ClassifierParams":
+        hidden = tuple(hidden)
+        return cls(_named_layers(cls.layout(image_dim, hidden), arrays), role, image_dim, hidden)
+
     @classmethod
     def initialize(
         cls, image_dim: int, rng, role: str, hidden: tuple[int, ...] = CLASSIFIER_HIDDEN
     ) -> "ClassifierParams":
-        sizes = [image_dim, *hidden, 1]
-        layers = [
-            _init_layer(rng, sizes[i], sizes[i + 1], f"clf{i}") for i in range(len(sizes) - 1)
-        ]
-        return cls(layers, role, image_dim, tuple(hidden))
+        arrays = _init_arrays(cls.layout(image_dim, hidden), rng)
+        return cls._from_arrays(arrays, image_dim, hidden, role)
 
     def parameters(self) -> list[Tensor]:
         out = []

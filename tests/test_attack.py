@@ -85,6 +85,17 @@ class TestAdditiveTransform:
         ad.backward(apply_additive(z, delta, "1to0").sum())
         np.testing.assert_array_equal(delta.grad, [-3.0, -3.0])
 
+    @pytest.mark.parametrize("apply", [
+        lambda z, d: apply_additive(z, d, "0to1"),
+        lambda z, d: apply_multiplicative(z, d),
+    ])
+    def test_array_codes_with_tensor_delta(self, apply):
+        delta = Tensor(np.array([1.0, 2.0]))
+        out = apply(np.ones((3, 2)), delta)
+        assert isinstance(out, Tensor) and out.data.shape == (3, 2)
+        ad.backward(out.sum())
+        np.testing.assert_array_equal(delta.grad, [3.0, 3.0])
+
 
 class TestMultiplicativeTransform:
     def test_zero_delta_is_identity_bitwise(self):

@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from latentpoison.attack import Perturbation
 from latentpoison.checkpoint import (
+    CheckpointError,
     CheckpointHashError,
     CheckpointKindError,
     CheckpointTruncatedError,
@@ -84,6 +88,77 @@ class TestRoundTrip:
         mu_a, _ = encode(tiny_data.images, tiny_vae)
         mu_b, _ = encode(tiny_data.images, loaded)
         assert np.array_equal(mu_a.data, mu_b.data)
+
+
+def _names_and_shapes(params):
+    return [(p.name, p.data.shape) for p in params.parameters()]
+
+
+class TestRebuiltLayout:
+    def test_vae_matches_fresh_initialization(self, tmp_path, vae):
+        save_checkpoint(vae, tmp_path / "vae.ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "vae.ckpt")
+        assert _names_and_shapes(loaded) == _names_and_shapes(vae)
+        assert [p.name for p in vae.parameters()][:2] == ["enc0.weight", "enc0.bias"]
+
+    def test_classifier_matches_fresh_initialization(self, tmp_path, classifier):
+        save_checkpoint(classifier, tmp_path / "clf.ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "clf.ckpt")
+        assert _names_and_shapes(loaded) == _names_and_shapes(classifier)
+
+
+def _rewrite_descriptor(path, edit):
+    """Apply ``edit`` to a checkpoint's descriptor dict, keeping the payload and its hash."""
+    blob = path.read_bytes()
+    (desc_len,) = struct.unpack("<I", blob[5:9])
+    desc = json.loads(blob[9 : 9 + desc_len])
+    edit(desc)
+    new = json.dumps(desc).encode("utf-8")
+    path.write_bytes(blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + desc_len :])
+
+
+class TestMalformedDescriptor:
+    def test_renamed_field(self, tmp_path, classifier):
+        path = tmp_path / "clf.ckpt"
+        save_checkpoint(classifier, path)
+        path.write_bytes(path.read_bytes().replace(b'"hidden"', b'"hiddeN"'))
+        with pytest.raises(CheckpointError, match=r"clf\.ckpt.*'hidden'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("image_dim", "16"), ("hidden", 8), ("hidden", ["8"]), ("role", None)],
+    )
+    def test_wrong_classifier_field_type(self, tmp_path, classifier, field, value):
+        path = tmp_path / "clf.ckpt"
+        save_checkpoint(classifier, path)
+        _rewrite_descriptor(path, lambda desc: desc.update({field: value}))
+        with pytest.raises(CheckpointError, match=f"'{field}'"):
+            load_checkpoint(path)
+
+    def test_missing_vae_field(self, tmp_path, vae):
+        path = tmp_path / "vae.ckpt"
+        save_checkpoint(vae, path)
+        _rewrite_descriptor(path, lambda desc: desc.pop("latent_dim"))
+        with pytest.raises(CheckpointError, match="'latent_dim'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["norm_order", "family", "reg_weight", "provenance"])
+    def test_missing_perturbation_field(self, tmp_path, perturbation, field):
+        path = tmp_path / "dz.ckpt"
+        save_checkpoint(perturbation, path)
+        _rewrite_descriptor(path, lambda desc: desc.pop(field))
+        with pytest.raises(CheckpointError, match=f"'{field}'"):
+            load_checkpoint(path)
+
+    def test_descriptor_not_an_object(self, tmp_path, perturbation):
+        path = tmp_path / "dz.ckpt"
+        save_checkpoint(perturbation, path)
+        blob = path.read_bytes()
+        (desc_len,) = struct.unpack("<I", blob[5:9])
+        path.write_bytes(blob[:9] + b"[" + b" " * (desc_len - 2) + b"]" + blob[9 + desc_len :])
+        with pytest.raises(CheckpointError, match="descriptor"):
+            load_checkpoint(path)
 
 
 class TestCorruption:

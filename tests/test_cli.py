@@ -1,7 +1,8 @@
 import pytest
 
 from latentpoison.checkpoint import load_checkpoint
-from latentpoison.cli import main
+from latentpoison.cli import _learn_attack_configs, build_parser, main
+from latentpoison.config import ConfigError
 from latentpoison.data import load_idx
 from latentpoison.reporting import parse_report
 
@@ -114,6 +115,40 @@ class TestTrainingCommands:
         assert "duplicate key" in capsys.readouterr().err
 
 
+class TestLearnAttackConfigMerge:
+    @staticmethod
+    def _configs(tmp_path, text, *flags):
+        config = tmp_path / "attack.cfg"
+        config.write_text(text)
+        args = build_parser().parse_args([
+            "learn-attack", "--mode", "poisoning", "--images", "i", "--labels", "l",
+            "--out-dir", str(tmp_path), "--config", str(config), *flags,
+        ])
+        return _learn_attack_configs(args)
+
+    def test_prefixed_file_keys_reach_the_vae(self, tmp_path):
+        attack, vae = self._configs(tmp_path, "vae_kl_weight = 0.25\nvae_epochs = 3\nepochs = 5\n")
+        assert (vae.kl_weight, vae.epochs) == (0.25, 3)
+        assert attack.epochs == 5
+
+    def test_flags_beat_the_file(self, tmp_path):
+        attack, vae = self._configs(
+            tmp_path, "vae_epochs = 3\nvae_latent_dim = 5\nepochs = 5\n",
+            "--vae-epochs", "7", "--latent-dim", "9", "--epochs", "2",
+        )
+        assert (vae.epochs, vae.latent_dim, attack.epochs) == (7, 9, 2)
+
+    def test_vae_batch_size_follows_the_attack(self, tmp_path):
+        attack, vae = self._configs(tmp_path, "batch_size = 32\n")
+        assert attack.batch_size == vae.batch_size == 32
+        attack, vae = self._configs(tmp_path, "batch_size = 32\n", "--batch-size", "8")
+        assert attack.batch_size == vae.batch_size == 8
+
+    def test_unknown_prefixed_key_is_an_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown configuration key 'bogus'"):
+            self._configs(tmp_path, "vae_bogus = 1\n")
+
+
 class TestAttackAndEvaluate:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -187,6 +222,22 @@ class TestAttackAndEvaluate:
         assert len(rows) == 6
         assert (tmp_path / "delta_elements.csv").exists()
 
+    def test_evaluate_reports_malformed_descriptor(self, data_dir, artifacts, tmp_path, capsys):
+        broken = tmp_path / "eval.ckpt"
+        broken.write_bytes((artifacts / "eval.ckpt").read_bytes().replace(b'"hidden"', b'"hiddeN"'))
+        code = main([
+            "evaluate",
+            "--vae", str(artifacts / "vae.ckpt"),
+            "--perturbation", str(artifacts / "perturbation.ckpt"),
+            "--classifier", str(broken),
+            "--images", str(data_dir / "test-images.idx"),
+            "--labels", str(data_dir / "test-labels.idx"),
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'hidden'" in err
+
     def test_evaluate_rejects_attack_classifier(self, data_dir, artifacts, tmp_path, capsys):
         code = main([
             "evaluate",
@@ -228,14 +279,16 @@ class TestRender:
         assert out.exists()
 
 
+TINY_GRID = [
+    "--sample-count", "60", "--width", "8", "--height", "8",
+    "--test-count", "20", "--vae-epochs", "2", "--attack-epochs", "2",
+    "--latent-dim", "4", "--batch-size", "16", "--seed", "1", "--data-seed", "1",
+]
+
+
 class TestRunGrid:
     def test_tiny_grid_end_to_end(self, tmp_path, capsys):
-        code = main([
-            "run-grid", "--out-dir", str(tmp_path),
-            "--sample-count", "60", "--width", "8", "--height", "8",
-            "--test-count", "20", "--vae-epochs", "2", "--attack-epochs", "2",
-            "--latent-dim", "4", "--batch-size", "16", "--seed", "1", "--data-seed", "1",
-        ])
+        code = main(["run-grid", "--out-dir", str(tmp_path), *TINY_GRID])
         assert code == 0
         names = [p.name for p in tmp_path.iterdir() if p.is_dir()]
         assert len(names) == 6
@@ -245,3 +298,18 @@ class TestRunGrid:
             assert (tmp_path / name / "perturbation.ckpt").exists()
         out = capsys.readouterr().out
         assert "running 6 plans" in out
+        assert "Confidence means" in out
+        assert out.count("eps+") == 6
+
+    @pytest.mark.parametrize("key", ["mode", "family", "norm_order", "out_dir"])
+    def test_config_keys_fixed_by_the_grid_are_errors(self, tmp_path, capsys, key):
+        config = tmp_path / "grid.cfg"
+        config.write_text(f"{key} = 1\n")
+        code = main([
+            "run-grid", "--out-dir", str(tmp_path / "out"), "--config", str(config),
+            *TINY_GRID,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert not (tmp_path / "out").exists()

@@ -1,13 +1,15 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
+from latentpoison.checkpoint import load_checkpoint
 from latentpoison.experiment import (
+    MODES,
     ExperimentError,
     ExperimentPlan,
     grid_plans,
     run_experiment,
-    run_grid,
 )
 from latentpoison.reporting import parse_report
 
@@ -97,16 +99,47 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match="stage 'data'"):
             run_experiment(plan)
 
-    def test_run_grid_parallel_matches_sequential(self, tmp_path):
-        plans_seq = [
-            _tiny_plan(tmp_path / "seq" / str(i), mode=mode, norm_order=order)
-            for i, (mode, order) in enumerate((("independent", 1), ("poisoning", 2)))
-        ]
-        plans_par = [
-            dataclasses.replace(p, out_dir=str(tmp_path / "par" / str(i)))
-            for i, p in enumerate(plans_seq)
-        ]
-        seq = run_grid(plans_seq, workers=1)
-        par = run_grid(plans_par, workers=2)
-        for a, b in zip(seq, par):
-            assert [r.mean for r in a.rows] == [r.mean for r in b.rows]
+
+class TestClassifierSeedRule:
+    """Each classifier role has one seed rule, whichever mode trains it."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def plan_dirs(tmp_path_factory):
+        root = tmp_path_factory.mktemp("modes")
+        dirs = {}
+        for mode in MODES:
+            plan = _tiny_plan(root / mode.replace("+", "_"), mode=mode)
+            run_experiment(plan)
+            dirs[mode] = root / mode.replace("+", "_")
+        return dirs
+
+    @staticmethod
+    def _parameters(path):
+        classifier, _ = load_checkpoint(path, expect_kind="classifier")
+        return [p.data for p in classifier.parameters()]
+
+    def _assert_bitwise_equal(self, a, b):
+        first, second = self._parameters(a), self._parameters(b)
+        assert len(first) == len(second)
+        for x, y in zip(first, second):
+            assert x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+    def test_attack_classifier_same_in_independent_and_class_modes(self, plan_dirs):
+        self._assert_bitwise_equal(
+            plan_dirs["independent"] / "attack_classifier.ckpt",
+            plan_dirs["poisoning+class"] / "attack_classifier.ckpt",
+        )
+
+    def test_eval_classifier_same_in_every_mode(self, plan_dirs):
+        for mode in MODES[1:]:
+            self._assert_bitwise_equal(
+                plan_dirs[MODES[0]] / "eval_classifier.ckpt",
+                plan_dirs[mode] / "eval_classifier.ckpt",
+            )
+
+    def test_roles_do_not_share_weights(self, plan_dirs):
+        attack = self._parameters(plan_dirs["independent"] / "attack_classifier.ckpt")
+        evaluation = self._parameters(plan_dirs["independent"] / "eval_classifier.ckpt")
+        assert not np.array_equal(attack[0], evaluation[0])
