@@ -24,7 +24,6 @@ from .autodiff import (
     linear,
     lp_penalty,
     sigmoid,
-    zero_grad,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, feature_mask, generate_synthetic, load_idx, save_idx, split

@@ -224,8 +224,8 @@ def learn_attack_independent(
 
     Each batch encodes inputs to their latent means, tampers with them in
     the direction chosen by each sample's label, decodes, and scores. Only
-    the perturbation is updated; VAE and classifier gradients are computed
-    as a side effect and discarded.
+    the perturbation is differentiated and updated; no gradient is computed
+    for VAE or classifier weights.
     """
     if classifier.image_dim != vae.image_dim or dataset.image_dim != vae.image_dim:
         raise ShapeMismatchError(
@@ -234,7 +234,6 @@ def learn_attack_independent(
         )
     delta, reverse = _init_deltas(vae.latent_dim, config)
     trained = [delta] + ([reverse] if reverse is not None else [])
-    frozen = vae.parameters() + classifier.parameters()
     optimizer = Adam(trained, config.lr)
     for epoch in range(config.epochs):
         shuffle = stream(config.seed, SHUFFLE, epoch)
@@ -243,9 +242,7 @@ def learn_attack_independent(
                 vae, classifier, dataset.images[idx], dataset.labels[idx],
                 delta, reverse, config,
             )
-            optimizer.zero_grad()
-            ad.zero_grad(frozen)
-            ad.backward(loss)
+            ad.backward(loss, trained)
             optimizer.step()
     return _finish(delta, reverse, config, "independent")
 
@@ -276,7 +273,6 @@ def _run_poisoning(
     trained = [delta] + ([reverse] if reverse is not None else [])
     vae_optimizer = Adam(vae.parameters(), vae_config.lr)
     delta_optimizer = Adam(trained, attack_config.lr)
-    frozen = classifier.parameters()
     recon_classifier = classifier if with_class_term else None
     for epoch in range(max(vae_config.epochs, attack_config.epochs)):
         noise_rng = stream(vae_config.seed, LATENT_NOISE, epoch)
@@ -285,16 +281,11 @@ def _run_poisoning(
             x, y = dataset.images[idx], dataset.labels[idx]
             if epoch < vae_config.epochs:
                 loss = vae_batch_loss(vae, x, y, vae_config, noise_rng, recon_classifier)
-                vae_optimizer.zero_grad()
-                ad.zero_grad(frozen)
-                ad.backward(loss)
+                ad.backward(loss, vae_optimizer.params)
                 vae_optimizer.step()
             if epoch < attack_config.epochs:
                 loss = _attack_batch_loss(vae, classifier, x, y, delta, reverse, attack_config)
-                delta_optimizer.zero_grad()
-                ad.zero_grad(vae.parameters())
-                ad.zero_grad(frozen)
-                ad.backward(loss)
+                ad.backward(loss, trained)
                 delta_optimizer.step()
     return vae, classifier, _finish(delta, reverse, attack_config, provenance)
 

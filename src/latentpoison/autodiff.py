@@ -1,12 +1,13 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
 Graphs are built functionally: every operation returns a fresh ``Tensor``
-that records its parents and a closure mapping the output gradient to
-parent gradients. Parameters are long-lived leaf tensors; intermediate
-nodes are rebuilt on every forward pass, so "resetting" a graph amounts to
-dropping it and zeroing parameter gradients. Everything runs in 64-bit
-precision so finite-difference gradient checks at 1e-4 tolerance are
-meaningful.
+that records its parents and, per parent, a closure mapping the output
+gradient to that parent's gradient. Parameters are long-lived leaf
+tensors; intermediate nodes are rebuilt on every forward pass.
+:func:`backward` differentiates only toward the tensors it is asked about,
+so frozen weights cost no gradient work and never need clearing.
+Everything runs in 64-bit precision so finite-difference gradient checks
+at 1e-4 tolerance are meaningful.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ class Tensor:
     """A float64 array plus its position in a differentiation graph.
 
     Identity within a graph is plain Python object identity. ``grad`` is
-    filled by :func:`backward` and accumulates across repeated calls until
-    explicitly cleared.
+    set by :func:`backward` on the tensors it differentiates toward, and
+    each call overwrites it.
     """
 
     __slots__ = ("data", "grad", "name", "_parents", "_backward")
@@ -88,9 +89,6 @@ class Tensor:
     def mean(self):
         return mean_all(self)
 
-    def backward(self) -> None:
-        backward(self)
-
 
 def _as_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
@@ -111,39 +109,30 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
-
-    def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
+    back = (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(g, b.data.shape))
     return Tensor(out, _parents=(a, b), _backward=back)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data - b.data
-
-    def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
+    back = (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(-g, b.data.shape))
     return Tensor(out, _parents=(a, b), _backward=back)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
-
-    def back(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
-
+    back = (
+        lambda g: _unbroadcast(g * b.data, a.data.shape),
+        lambda g: _unbroadcast(g * a.data, b.data.shape),
+    )
     return Tensor(out, _parents=(a, b), _backward=back)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return Tensor(-a.data, _parents=(a,), _backward=lambda g: (-g,))
+    return Tensor(-a.data, _parents=(a,), _backward=(lambda g: -g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -153,23 +142,19 @@ def matmul(a, b) -> Tensor:
             f"cannot matrix-multiply {a.data.shape} by {b.data.shape}"
         )
     out = a.data @ b.data
-
-    def back(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return Tensor(out, _parents=(a, b), _backward=back)
+    return Tensor(out, _parents=(a, b), _backward=(lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.data)
-    return Tensor(out, _parents=(a,), _backward=lambda g: (g * out,))
+    return Tensor(out, _parents=(a,), _backward=(lambda g: g * out,))
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     out = np.tanh(a.data)
-    return Tensor(out, _parents=(a,), _backward=lambda g: (g * (1.0 - out * out),))
+    return Tensor(out, _parents=(a,), _backward=(lambda g: g * (1.0 - out * out),))
 
 
 def sigmoid(a) -> Tensor:
@@ -179,28 +164,24 @@ def sigmoid(a) -> Tensor:
     out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     out = np.clip(out, _SIG_FLOOR, _SIG_CEIL)
-    return Tensor(out, _parents=(a,), _backward=lambda g: (g * out * (1.0 - out),))
+    return Tensor(out, _parents=(a,), _backward=(lambda g: g * out * (1.0 - out),))
 
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     out = np.asarray(a.data.sum())
-
-    def back(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return Tensor(out, _parents=(a,), _backward=back)
+    return Tensor(
+        out, _parents=(a,), _backward=(lambda g: np.broadcast_to(g, a.data.shape).copy(),)
+    )
 
 
 def mean_all(a) -> Tensor:
     a = _as_tensor(a)
     out = np.asarray(a.data.mean())
     scale = 1.0 / a.data.size
-
-    def back(g):
-        return (np.broadcast_to(g * scale, a.data.shape).copy(),)
-
-    return Tensor(out, _parents=(a,), _backward=back)
+    return Tensor(
+        out, _parents=(a,), _backward=(lambda g: np.broadcast_to(g * scale, a.data.shape).copy(),)
+    )
 
 
 def linear(x, weights, bias) -> Tensor:
@@ -243,9 +224,9 @@ def bce(prediction, target) -> Tensor:
     def back(g):
         gp = g * scale * (p - t) / (p * (1.0 - p))
         gp[clamped] = 0.0
-        return (gp,)
+        return gp
 
-    return Tensor(out, _parents=(prediction,), _backward=back)
+    return Tensor(out, _parents=(prediction,), _backward=(back,))
 
 
 def kl_standard_normal(mu, log_var) -> Tensor:
@@ -262,10 +243,7 @@ def kl_standard_normal(mu, log_var) -> Tensor:
     var = np.exp(log_var.data)
     batch = mu.data.shape[0] if mu.data.ndim > 0 else 1
     out = np.asarray(0.5 * (mu.data**2 + var - 1.0 - log_var.data).sum() / batch)
-
-    def back(g):
-        return g * mu.data / batch, g * 0.5 * (var - 1.0) / batch
-
+    back = (lambda g: g * mu.data / batch, lambda g: g * 0.5 * (var - 1.0) / batch)
     return Tensor(out, _parents=(mu, log_var), _backward=back)
 
 
@@ -276,7 +254,7 @@ def lp_penalty(x, norm_order: int) -> Tensor:
         out = np.asarray(np.abs(x.data).sum())
 
         def back(g):
-            return (g * np.sign(x.data),)
+            return g * np.sign(x.data)
 
     elif norm_order == 2:
         value = math.sqrt(float((x.data**2).sum()))
@@ -284,12 +262,12 @@ def lp_penalty(x, norm_order: int) -> Tensor:
 
         def back(g):
             if value == 0.0:
-                return (np.zeros_like(x.data),)
-            return (g * x.data / value,)
+                return np.zeros_like(x.data)
+            return g * x.data / value
 
     else:
         raise ValueError(f"norm order must be 1 or 2, got {norm_order!r}")
-    return Tensor(out, _parents=(x,), _backward=back)
+    return Tensor(out, _parents=(x,), _backward=(back,))
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
@@ -310,37 +288,33 @@ def _topological_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor reachable from a scalar loss.
+def backward(loss: Tensor, wrt: Sequence[Tensor]) -> None:
+    """Set ``t.grad`` to d loss / d t for each tensor ``t`` in ``wrt``.
 
-    Repeated calls without clearing gradients accumulate, each pass adding
-    its own contribution.
+    Each call overwrites ``grad``; it is ``None`` where the loss does not
+    depend on ``t``. Only nodes on a path from the loss to ``wrt`` are
+    differentiated, and no other tensor is touched.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     order = _topological_order(loss)
+    on_path = {id(t) for t in wrt}
+    for node in order:
+        if any(id(parent) in on_path for parent in node._parents):
+            on_path.add(id(node))
     incoming: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
         g = incoming.get(id(node))
-        if g is None:
+        if g is None or node._backward is None:
             continue
-        if node._backward is not None:
-            for parent, pg in zip(node._parents, node._backward(g)):
-                key = id(parent)
-                if key in incoming:
-                    incoming[key] = incoming[key] + pg
-                else:
-                    incoming[key] = pg
-    for node in order:
-        g = incoming.get(id(node))
-        if g is None:
-            g = np.zeros_like(node.data)
-        node.grad = g if node.grad is None else node.grad + g
-
-
-def zero_grad(tensors: Sequence[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
+        for parent, vjp in zip(node._parents, node._backward):
+            key = id(parent)
+            if key not in on_path:
+                continue
+            pg = vjp(g)
+            incoming[key] = incoming[key] + pg if key in incoming else pg
+    for t in wrt:
+        t.grad = incoming.get(id(t))
 
 
 @dataclass
@@ -411,9 +385,6 @@ class Adam:
             grads.append(p.grad)
         adam_step(self.params, grads, self.state, self.lr)
 
-    def zero_grad(self) -> None:
-        zero_grad(self.params)
-
 
 def grad_check(
     build: Callable[[np.random.Generator], tuple[Callable[[], Tensor], list[Tensor]]],
@@ -433,8 +404,7 @@ def grad_check(
         raise ValueError(f"fd_step must lie in [1e-6, 1e-4], got {fd_step}")
     rng = np.random.default_rng(seed)
     loss_fn, params = build(rng)
-    zero_grad(params)
-    backward(loss_fn())
+    backward(loss_fn(), params)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0
     for p, ga in zip(params, analytic):

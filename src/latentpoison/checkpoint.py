@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .attack import Perturbation
-from .models import INIT_SCHEME, ClassifierParams, VaeParams
+from .models import INIT_SCHEME, ROLES, ClassifierParams, VaeParams
 
 MAGIC_PREFIX = b"LPZ"
 FORMAT_VERSION = 1
@@ -124,7 +124,7 @@ class _Reader:
 def _split_payload(payload: bytes, shapes: list[tuple[int, ...]], path) -> list[np.ndarray]:
     expected = sum(int(np.prod(s)) for s in shapes) * 8
     if len(payload) != expected:
-        raise CheckpointTruncatedError(
+        raise CheckpointError(
             f"{path}: payload holds {len(payload)} bytes, layout needs {expected}"
         )
     arrays, offset = [], 0
@@ -157,7 +157,12 @@ def _rebuild_network(desc: dict, payload: bytes, path):
         extra = ()
     else:
         network, dims = ClassifierParams, (image_dim, hidden)
-        extra = (_field(desc, "role", str, path),)
+        role = _field(desc, "role", str, path)
+        if role not in ROLES:
+            raise CheckpointError(
+                f"{path}: descriptor field 'role' is {role!r}, not one of {ROLES}"
+            )
+        extra = (role,)
     shapes = [
         shape
         for _, fan_in, fan_out in network.layout(*dims)

@@ -27,7 +27,7 @@ from .config import ConfigError, apply_config, load_config_file
 from .data import generate_synthetic, load_idx, save_idx, split
 from .evaluation import ROW_NAMES, evaluate_attack
 from .experiment import ExperimentPlan, grid_plans, run_experiment
-from .models import TrainConfig, train_classifier, train_vae
+from .models import ROLES, TrainConfig, train_classifier, train_vae
 from .reporting import render_grid, write_delta, write_report
 
 REG_WEIGHT_SWEEP = (0.001, 0.01, 0.1, 1.0)
@@ -66,7 +66,7 @@ def _merge(template, args: argparse.Namespace, file_values=None, skip=(), prefix
         file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
     for key in skip:
         if key in file_values:
-            raise ConfigError(f"{args.config}: key {key!r} is fixed by this command")
+            raise ConfigError(f"{args.config}: key {prefix + key!r} is fixed by this command")
     instance = apply_config(template, file_values)
     overrides = {}
     for f in dataclasses.fields(template):
@@ -138,7 +138,8 @@ def cmd_train_classifier(args) -> int:
 def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig]:
     """Merge learn-attack settings; ``vae_``-prefixed keys and flags configure the VAE.
 
-    The VAE trains on the attack's batches, so its batch size follows the attack's.
+    The VAE trains on the attack's batches, so its batch size follows the
+    attack's and a file may not set ``vae_batch_size``.
     """
     file_values = load_config_file(args.config) if args.config else {}
     vae_keys = [k for k in file_values if k.startswith("vae_")]
@@ -146,7 +147,8 @@ def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig]:
         AttackConfig(), args, {k: v for k, v in file_values.items() if k not in vae_keys}
     )
     vae_cfg = _merge(
-        TrainConfig(), args, {k[len("vae_") :]: file_values[k] for k in vae_keys}, prefix="vae_"
+        TrainConfig(), args, {k[len("vae_") :]: file_values[k] for k in vae_keys},
+        skip=("batch_size",), prefix="vae_",
     )
     return attack_cfg, dataclasses.replace(vae_cfg, batch_size=attack_cfg.batch_size)
 
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--role", choices=("attack", "eval"), required=True)
+    p.add_argument("--role", choices=ROLES, required=True)
     p.add_argument("--config")
     _add_dataclass_flags(p, TrainConfig())
     p.set_defaults(func=cmd_train_classifier)

@@ -29,6 +29,9 @@ from .seeds import (
 ENCODER_HIDDEN = (256, 128)
 CLASSIFIER_HIDDEN = (128, 64)
 
+# What a classifier is trained for: the attacker's target or the judge.
+ROLES = ("attack", "eval")
+
 # Weight initialization, recorded in checkpoints alongside the layout.
 INIT_SCHEME = "uniform(+-sqrt(6/(fan_in+fan_out))), zero bias"
 
@@ -72,7 +75,7 @@ def _classifier_config(config: TrainConfig, role: str) -> TrainConfig:
     Each role has one sub-seed of ``config.seed``, so every protocol trains
     the same classifier for a role and the two roles never share weights.
     """
-    tag = {"attack": ATTACK_CLASSIFIER, "eval": EVAL_CLASSIFIER}[role]
+    tag = (ATTACK_CLASSIFIER, EVAL_CLASSIFIER)[ROLES.index(role)]
     return dataclasses.replace(config, seed=derive_seed(config.seed, tag))
 
 
@@ -268,8 +271,7 @@ def train_classifier(dataset: Dataset, config: TrainConfig, role: str) -> Classi
         for idx in _epoch_batches(len(dataset), config.batch_size, stream(config.seed, SHUFFLE, epoch)):
             scores = classify(dataset.images[idx], params)
             loss = ad.bce(scores, targets[idx])
-            optimizer.zero_grad()
-            ad.backward(loss)
+            ad.backward(loss, optimizer.params)
             optimizer.step()
     return params
 
@@ -303,8 +305,9 @@ def train_vae(
 
     With ``recon_classifier`` set, the objective also pushes decoded
     reconstructions toward their true class under that (frozen)
-    classifier, weighted by ``config.recon_class_weight``; the classifier
-    parameters receive gradients but are never updated here.
+    classifier, weighted by ``config.recon_class_weight``. Gradients flow
+    back through the classifier to the VAE only; its own parameters get
+    none and are never updated here.
     """
     if recon_classifier is not None:
         if config.recon_class_weight <= 0:
@@ -320,7 +323,6 @@ def train_vae(
     vae = VaeParams.initialize(
         dataset.image_dim, config.latent_dim, stream(config.seed, PARAM_INIT)
     )
-    frozen = recon_classifier.parameters() if recon_classifier is not None else []
     optimizer = Adam(vae.parameters(), config.lr)
     for epoch in range(config.epochs):
         noise_rng = stream(config.seed, LATENT_NOISE, epoch)
@@ -328,9 +330,7 @@ def train_vae(
             loss = vae_batch_loss(
                 vae, dataset.images[idx], dataset.labels[idx], config, noise_rng, recon_classifier
             )
-            optimizer.zero_grad()
-            ad.zero_grad(frozen)
-            ad.backward(loss)
+            ad.backward(loss, optimizer.params)
             optimizer.step()
     return vae
 

@@ -10,6 +10,7 @@ from latentpoison import autodiff as ad
 from latentpoison.attack import (
     AttackConfig,
     Perturbation,
+    _attack_batch_loss,
     apply_additive,
     apply_multiplicative,
     apply_perturbation,
@@ -82,7 +83,7 @@ class TestAdditiveTransform:
     def test_tensor_path_gradients(self):
         z = Tensor(np.zeros((3, 2)))
         delta = Tensor(np.array([1.0, 2.0]))
-        ad.backward(apply_additive(z, delta, "1to0").sum())
+        ad.backward(apply_additive(z, delta, "1to0").sum(), [delta])
         np.testing.assert_array_equal(delta.grad, [-3.0, -3.0])
 
     @pytest.mark.parametrize("apply", [
@@ -93,7 +94,7 @@ class TestAdditiveTransform:
         delta = Tensor(np.array([1.0, 2.0]))
         out = apply(np.ones((3, 2)), delta)
         assert isinstance(out, Tensor) and out.data.shape == (3, 2)
-        ad.backward(out.sum())
+        ad.backward(out.sum(), [delta])
         np.testing.assert_array_equal(delta.grad, [3.0, 3.0])
 
 
@@ -234,6 +235,32 @@ class TestIndependentAttack:
         config = AttackConfig(epochs=0, seed=7, random_init=True)
         pert = learn_attack_independent(tiny_vae, attack_clf, tiny_data, config)
         assert np.any(pert.delta != 0.0)
+
+    @pytest.mark.parametrize("family", ["additive", "multiplicative"])
+    def test_pruned_delta_gradient_is_bitwise_the_full_one(
+        self, tiny_vae, tiny_classifiers, tiny_data, family
+    ):
+        attack_clf, _ = tiny_classifiers
+        config = AttackConfig(family=family, per_direction=True)
+        rng = np.random.default_rng(4)
+        delta, reverse = (Tensor(rng.standard_normal(tiny_vae.latent_dim)) for _ in range(2))
+        frozen = tiny_vae.parameters() + attack_clf.parameters()
+
+        def delta_grads(wrt):
+            loss = _attack_batch_loss(
+                tiny_vae, attack_clf, tiny_data.images, tiny_data.labels, delta, reverse, config
+            )
+            ad.backward(loss, wrt)
+            return delta.grad.copy(), reverse.grad.copy()
+
+        before = [p.grad for p in frozen]
+        pruned = delta_grads([delta, reverse])
+        assert all(p.grad is g for p, g in zip(frozen, before))
+        full = delta_grads([delta, reverse] + frozen)
+        # the attack reads only the mean head, so the log-variance head stays off the path
+        assert [p.name for p in frozen if p.grad is None] == ["log_var.weight", "log_var.bias"]
+        for a, b in zip(pruned, full):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestPoisoningAttacks:

@@ -20,7 +20,6 @@ from latentpoison.autodiff import (
     linear,
     lp_penalty,
     sigmoid,
-    zero_grad,
 )
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -67,7 +66,7 @@ class TestLinear:
         x = Tensor(np.ones((2, 3)))
         w = Tensor(np.ones((3, 2)))
         b = Tensor(np.zeros(2))
-        backward(linear(x, w, b).sum())
+        backward(linear(x, w, b).sum(), [x, w, b])
         assert x.grad.shape == (2, 3)
         assert w.grad.shape == (3, 2)
         np.testing.assert_array_equal(b.grad, [2.0, 2.0])
@@ -155,31 +154,53 @@ class TestKlStandardNormal:
 class TestBackward:
     def test_sum_gives_unit_gradients(self):
         w = Tensor([1.0, 2.0, 3.0])
-        backward(w.sum())
+        backward(w.sum(), [w])
         np.testing.assert_array_equal(w.grad, [1.0, 1.0, 1.0])
 
     def test_power_rule(self):
         w = Tensor([1.0, 2.0])
-        backward((w * w).sum())
+        backward((w * w).sum(), [w])
         np.testing.assert_array_equal(w.grad, [2.0, 4.0])
 
     def test_non_scalar_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
-            backward(Tensor([1.0, 2.0]))
+            backward(Tensor([1.0, 2.0]), [])
 
-    def test_repeated_calls_accumulate(self):
+    def test_only_wrt_tensors_get_grad(self):
+        x = Tensor(np.ones((2, 3)))
+        w = Tensor(np.ones((3, 1)))
+        b = Tensor(np.zeros(1))
+        hidden = x @ w
+        loss = sigmoid(hidden + b).mean()
+        backward(loss, [w])
+        assert w.grad is not None and w.grad.shape == (3, 1)
+        for node in (x, b, hidden, loss):
+            assert node.grad is None
+
+    def test_repeated_calls_overwrite(self):
         w = Tensor([1.0, 2.0])
-        loss = w.sum()
-        backward(loss)
-        backward(loss)
-        np.testing.assert_array_equal(w.grad, [2.0, 2.0])
+        loss = (w * 3.0).sum()
+        backward(loss, [w])
+        backward(loss, [w])
+        np.testing.assert_array_equal(w.grad, [3.0, 3.0])
+        backward(w.sum(), [w])
+        np.testing.assert_array_equal(w.grad, [1.0, 1.0])
+
+    def test_unreachable_tensor_gets_none(self):
+        w = Tensor([1.0, 2.0], name="w")
+        unused = Tensor([5.0], name="unused")
+        unused.grad = np.ones(1)
+        backward(w.sum(), [w, unused])
+        assert unused.grad is None
+        with pytest.raises(ValueError, match="unused has no gradient"):
+            Adam([w, unused], lr=0.1).step()
 
     def test_every_reachable_tensor_gets_matching_grad(self):
         x = Tensor(np.ones((2, 3)))
         w = Tensor(np.ones((3, 1)))
         out = sigmoid(x @ w)
         loss = out.mean()
-        backward(loss)
+        backward(loss, [x, w, out, loss])
         for node in (x, w, out, loss):
             assert node.grad is not None and node.grad.shape == node.data.shape
 
@@ -209,7 +230,7 @@ class TestBackward:
 
         def gradient_of(build_loss):
             w = Tensor(values.copy())
-            backward(build_loss(w))
+            backward(build_loss(w), [w])
             return w.grad
 
         g_sum = gradient_of(lambda w: (w * a).sum() + (w * b).sum())
@@ -225,12 +246,12 @@ class TestLpPenalty:
 
     def test_l1_subgradient_zero_at_origin(self):
         v = Tensor([0.0, 1.0, -2.0])
-        backward(lp_penalty(v, 1))
+        backward(lp_penalty(v, 1), [v])
         np.testing.assert_array_equal(v.grad, [0.0, 1.0, -1.0])
 
     def test_l2_gradient_zero_at_origin(self):
         v = Tensor([0.0, 0.0])
-        backward(lp_penalty(v, 2))
+        backward(lp_penalty(v, 2), [v])
         np.testing.assert_array_equal(v.grad, [0.0, 0.0])
 
     def test_invalid_order(self):
@@ -266,8 +287,7 @@ class TestAdam:
         p = Tensor([0.0], name="w")
         opt = Adam([p], lr=0.1)
         for _ in range(100):
-            opt.zero_grad()
-            backward(((p - 3.0) * (p - 3.0)).sum())
+            backward(((p - 3.0) * (p - 3.0)).sum(), opt.params)
             opt.step()
         expected = _reference_adam(lambda w: 2 * (w - 3.0), 0.0, 0.1, 100)
         assert p.data[0] == pytest.approx(expected, abs=1e-12)
@@ -306,7 +326,7 @@ class TestGradCheck:
         def doubled_square_sum(x: Tensor) -> Tensor:
             out = np.asarray((x.data**2).sum())
             # deliberately wrong by a factor of two
-            return Tensor(out, _parents=(x,), _backward=lambda g: (g * 4.0 * x.data,))
+            return Tensor(out, _parents=(x,), _backward=(lambda g: g * 4.0 * x.data,))
 
         def build(rng):
             w = Tensor(rng.uniform(0.5, 1.5, 4), name="w")
@@ -325,17 +345,9 @@ def test_operations_deterministic():
         x = Tensor(rng.standard_normal((5, 4)))
         w = Tensor(rng.standard_normal((4, 3)))
         out = sigmoid(x @ w).mean()
-        backward(out)
+        backward(out, [w])
         return out.data.copy(), w.grad.copy()
 
     first, second = run(), run()
     np.testing.assert_array_equal(first[0], second[0])
     np.testing.assert_array_equal(first[1], second[1])
-
-
-def test_zero_grad_clears():
-    w = Tensor([1.0])
-    backward(w.sum())
-    assert w.grad is not None
-    zero_grad([w])
-    assert w.grad is None

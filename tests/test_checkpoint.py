@@ -151,6 +151,21 @@ class TestMalformedDescriptor:
         with pytest.raises(CheckpointError, match=f"'{field}'"):
             load_checkpoint(path)
 
+    def test_layout_disagreeing_with_payload_is_not_truncation(self, tmp_path, classifier):
+        path = tmp_path / "clf.ckpt"
+        save_checkpoint(classifier, path)
+        path.write_bytes(path.read_bytes().replace(b'"hidden": [8]', b'"hidden": [4]'))
+        with pytest.raises(CheckpointError, match=r"clf\.ckpt.*layout needs") as info:
+            load_checkpoint(path)
+        assert not isinstance(info.value, CheckpointTruncatedError)
+
+    def test_unknown_role(self, tmp_path, classifier):
+        path = tmp_path / "clf.ckpt"
+        save_checkpoint(classifier, path)
+        path.write_bytes(path.read_bytes().replace(b'"role": "eval"', b'"role": "atta"'))
+        with pytest.raises(CheckpointError, match=r"clf\.ckpt.*'role'.*'atta'"):
+            load_checkpoint(path)
+
     def test_descriptor_not_an_object(self, tmp_path, perturbation):
         path = tmp_path / "dz.ckpt"
         save_checkpoint(perturbation, path)

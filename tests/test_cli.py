@@ -144,6 +144,10 @@ class TestLearnAttackConfigMerge:
         attack, vae = self._configs(tmp_path, "batch_size = 32\n", "--batch-size", "8")
         assert attack.batch_size == vae.batch_size == 8
 
+    def test_vae_batch_size_in_the_file_is_an_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="'vae_batch_size' is fixed"):
+            self._configs(tmp_path, "vae_batch_size = 32\n")
+
     def test_unknown_prefixed_key_is_an_error(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown configuration key 'bogus'"):
             self._configs(tmp_path, "vae_bogus = 1\n")

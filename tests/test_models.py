@@ -115,7 +115,7 @@ class TestSampleLatent:
     def test_gradients_reach_mu_and_log_var(self):
         mu = Tensor(np.zeros((2, 2)))
         log_var = Tensor(np.zeros((2, 2)))
-        ad.backward(sample_latent(mu, log_var, np.random.default_rng(0)).sum())
+        ad.backward(sample_latent(mu, log_var, np.random.default_rng(0)).sum(), [mu, log_var])
         assert mu.grad is not None and log_var.grad is not None
 
 
