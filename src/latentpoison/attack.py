@@ -164,36 +164,51 @@ def _init_deltas(latent_dim: int, config: AttackConfig) -> tuple[Tensor, Tensor 
     return start("delta"), start("delta_reverse") if config.per_direction else None
 
 
-def _tampered_codes(mu: Tensor, labels: np.ndarray, delta: Tensor, reverse: Tensor | None,
-                    family: str) -> Tensor:
-    """Each code tampered in its own label's direction, as one batch."""
+def _tampered_codes(codes: np.ndarray, labels: np.ndarray, delta: Tensor,
+                    reverse: Tensor | None, family: str) -> Tensor:
+    """Each code tampered in its own label's direction, as one graph tensor."""
     if family == "multiplicative":
-        return apply_multiplicative(mu, delta)
+        return apply_multiplicative(codes, delta)
     if reverse is None:
         # +delta where the label is 0, -delta where it is 1
         sign = Tensor((1.0 - 2.0 * labels).reshape(-1, 1))
-        return apply_additive(mu, sign * delta, "0to1")
+        return apply_additive(codes, sign * delta, "0to1")
     up = Tensor((labels == 0).astype(np.float64).reshape(-1, 1))
     down = Tensor((labels == 1).astype(np.float64).reshape(-1, 1))
-    return apply_additive(apply_additive(mu, up * delta, "0to1"), down * reverse, "1to0")
+    return apply_additive(apply_additive(codes, up * delta, "0to1"), down * reverse, "1to0")
 
 
 def _attack_batch_loss(
     vae: VaeParams,
     classifier: ClassifierParams,
-    x: np.ndarray,
+    codes: np.ndarray,
     labels: np.ndarray,
     delta: Tensor,
     reverse: Tensor | None,
     config: AttackConfig,
 ) -> Tensor:
-    mu, _ = encode(Tensor(x), vae)
-    tampered = _tampered_codes(mu, labels, delta, reverse, config.family)
+    """Attack objective for one batch of latent means, given as a plain array.
+
+    The codes are constants of the graph: only the decoder, the classifier
+    and the perturbation lie between them and the loss.
+    """
+    tampered = _tampered_codes(codes, labels, delta, reverse, config.family)
     scores = classify(decode(tampered, vae), classifier)
     loss = attack_loss(scores, labels, delta, config.norm_order, config.reg_weight)
     if reverse is not None:
         loss = loss + config.reg_weight * ad.lp_penalty(reverse, config.norm_order)
     return loss
+
+
+def _latent_means(vae: VaeParams, images: np.ndarray, chunk: int) -> np.ndarray:
+    """Latent means of ``images``, encoded in row order ``chunk`` rows at a time.
+
+    Chunking bounds peak memory at one batch's activations.
+    """
+    return np.concatenate([
+        encode(images[start : start + chunk], vae)[0].data
+        for start in range(0, len(images), chunk)
+    ])
 
 
 def _finish(delta: Tensor, reverse: Tensor | None, config: AttackConfig,
@@ -222,10 +237,16 @@ def learn_attack_independent(
 ) -> Perturbation:
     """Optimize the perturbation against a frozen, pre-trained VAE and classifier.
 
-    Each batch encodes inputs to their latent means, tampers with them in
-    the direction chosen by each sample's label, decodes, and scores. Only
-    the perturbation is differentiated and updated; no gradient is computed
-    for VAE or classifier weights.
+    The frozen encoder's latent means are computed once, in row order and
+    in chunks of ``config.batch_size`` rows. Each batch then tampers with
+    its cached means in the direction chosen by each sample's label,
+    decodes, and scores. Only the perturbation is differentiated and
+    updated; no gradient is computed for VAE or classifier weights.
+
+    A cached row equals the row a per-batch encoding would give, except
+    where numpy multiplies a one-row batch (gemv rather than gemm), which
+    can differ in the last bit. So when ``len(dataset) % config.batch_size
+    == 1`` the result may differ from per-batch encoding by about 1e-16.
     """
     if classifier.image_dim != vae.image_dim or dataset.image_dim != vae.image_dim:
         raise ShapeMismatchError(
@@ -235,12 +256,12 @@ def learn_attack_independent(
     delta, reverse = _init_deltas(vae.latent_dim, config)
     trained = [delta] + ([reverse] if reverse is not None else [])
     optimizer = Adam(trained, config.lr)
+    codes = _latent_means(vae, dataset.images, config.batch_size)
     for epoch in range(config.epochs):
         shuffle = stream(config.seed, SHUFFLE, epoch)
         for idx in _epoch_batches(len(dataset), config.batch_size, shuffle):
             loss = _attack_batch_loss(
-                vae, classifier, dataset.images[idx], dataset.labels[idx],
-                delta, reverse, config,
+                vae, classifier, codes[idx], dataset.labels[idx], delta, reverse, config
             )
             ad.backward(loss, trained)
             optimizer.step()
@@ -284,7 +305,8 @@ def _run_poisoning(
                 ad.backward(loss, vae_optimizer.params)
                 vae_optimizer.step()
             if epoch < attack_config.epochs:
-                loss = _attack_batch_loss(vae, classifier, x, y, delta, reverse, attack_config)
+                codes = encode(x, vae)[0].data
+                loss = _attack_batch_loss(vae, classifier, codes, y, delta, reverse, attack_config)
                 ad.backward(loss, trained)
                 delta_optimizer.step()
     return vae, classifier, _finish(delta, reverse, attack_config, provenance)

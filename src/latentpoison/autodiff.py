@@ -5,7 +5,9 @@ that records its parents and, per parent, a closure mapping the output
 gradient to that parent's gradient. Parameters are long-lived leaf
 tensors; intermediate nodes are rebuilt on every forward pass.
 :func:`backward` differentiates only toward the tensors it is asked about,
-so frozen weights cost no gradient work and never need clearing.
+so frozen weights cost no gradient work and never need clearing; an
+:class:`Adam` step resets the gradients it consumes to ``None``, so a
+trained network keeps no second copy of its weights' size.
 Everything runs in 64-bit precision so finite-difference gradient checks
 at 1e-4 tolerance are meaningful.
 """
@@ -36,8 +38,8 @@ class Tensor:
     """A float64 array plus its position in a differentiation graph.
 
     Identity within a graph is plain Python object identity. ``grad`` is
-    set by :func:`backward` on the tensors it differentiates toward, and
-    each call overwrites it.
+    set by :func:`backward` on the tensors it differentiates toward, each
+    call overwrites it, and :meth:`Adam.step` clears it once consumed.
     """
 
     __slots__ = ("data", "grad", "name", "_parents", "_backward")
@@ -161,8 +163,8 @@ def sigmoid(a) -> Tensor:
     """Elementwise logistic function, output strictly inside (0, 1)."""
     a = _as_tensor(a)
     x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = np.clip(out, _SIG_FLOOR, _SIG_CEIL)
     return Tensor(out, _parents=(a,), _backward=(lambda g: g * out * (1.0 - out),))
 
@@ -185,7 +187,11 @@ def mean_all(a) -> Tensor:
 
 
 def linear(x, weights, bias) -> Tensor:
-    """Affine map ``x @ weights + bias`` with the bias broadcast over rows."""
+    """Affine map ``x @ weights + bias`` with the bias broadcast over rows.
+
+    One graph node: the bias is added in place to the :func:`matmul`
+    product, and its gradient is the column sum of the output gradient.
+    """
     x, weights, bias = _as_tensor(x), _as_tensor(weights), _as_tensor(bias)
     if (
         x.data.ndim != 2
@@ -199,7 +205,10 @@ def linear(x, weights, bias) -> Tensor:
         raise ShapeMismatchError(
             f"linear: bias {bias.data.shape} does not match weights {weights.data.shape}"
         )
-    return add(matmul(x, weights), bias)
+    out = matmul(x, weights).data
+    out += bias.data
+    back = (lambda g: g @ weights.data.T, lambda g: x.data.T @ g, lambda g: g.sum(axis=0))
+    return Tensor(out, _parents=(x, weights, bias), _backward=back)
 
 
 def bce(prediction, target) -> Tensor:
@@ -370,7 +379,11 @@ def adam_step(
 
 
 class Adam:
-    """Convenience wrapper driving :func:`adam_step` from tensor gradients."""
+    """Convenience wrapper driving :func:`adam_step` from tensor gradients.
+
+    :meth:`step` consumes each parameter's ``grad`` and resets it to
+    ``None``, so a trained network holds no stale copy of its gradient.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float, **hyper):
         self.params = list(params)
@@ -384,6 +397,8 @@ class Adam:
                 raise ValueError(f"parameter {p.name or i} has no gradient")
             grads.append(p.grad)
         adam_step(self.params, grads, self.state, self.lr)
+        for p in self.params:
+            p.grad = None
 
 
 def grad_check(

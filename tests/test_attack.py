@@ -11,6 +11,8 @@ from latentpoison.attack import (
     AttackConfig,
     Perturbation,
     _attack_batch_loss,
+    _init_deltas,
+    _latent_means,
     apply_additive,
     apply_multiplicative,
     apply_perturbation,
@@ -20,7 +22,8 @@ from latentpoison.attack import (
     learn_attack_poisoning_class,
 )
 from latentpoison.autodiff import ShapeMismatchError, Tensor
-from latentpoison.models import classify, decode, encode, train_vae
+from latentpoison.models import _epoch_batches, classify, decode, encode, train_vae
+from latentpoison.seeds import SHUFFLE, stream
 
 # Vectors drawn on a bounded power-of-two lattice: on that grid float
 # addition is exact, which is what makes the transform pair exactly
@@ -245,10 +248,11 @@ class TestIndependentAttack:
         rng = np.random.default_rng(4)
         delta, reverse = (Tensor(rng.standard_normal(tiny_vae.latent_dim)) for _ in range(2))
         frozen = tiny_vae.parameters() + attack_clf.parameters()
+        codes = encode(tiny_data.images, tiny_vae)[0].data
 
         def delta_grads(wrt):
             loss = _attack_batch_loss(
-                tiny_vae, attack_clf, tiny_data.images, tiny_data.labels, delta, reverse, config
+                tiny_vae, attack_clf, codes, tiny_data.labels, delta, reverse, config
             )
             ad.backward(loss, wrt)
             return delta.grad.copy(), reverse.grad.copy()
@@ -257,10 +261,52 @@ class TestIndependentAttack:
         pruned = delta_grads([delta, reverse])
         assert all(p.grad is g for p, g in zip(frozen, before))
         full = delta_grads([delta, reverse] + frozen)
-        # the attack reads only the mean head, so the log-variance head stays off the path
-        assert [p.name for p in frozen if p.grad is None] == ["log_var.weight", "log_var.bias"]
+        # the codes are cached means, so the whole encoder stays off the path
+        assert [p.name for p in frozen if p.grad is None] == [
+            f"{layer}.{kind}" for layer in ("enc0", "enc1", "mu", "log_var")
+            for kind in ("weight", "bias")
+        ]
         for a, b in zip(pruned, full):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [2, 3, 16, 64])
+    def test_cached_codes_bitwise_equal_per_batch_encoding(self, tiny_vae, tiny_data, batch_size):
+        codes = _latent_means(tiny_vae, tiny_data.images, batch_size)
+        assert codes.shape == (len(tiny_data), tiny_vae.latent_dim)
+        for epoch in range(2):
+            shuffle = stream(5, SHUFFLE, epoch)
+            for idx in _epoch_batches(len(tiny_data), batch_size, shuffle):
+                rows = encode(tiny_data.images[idx], tiny_vae)[0].data
+                assert codes[idx].tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("options", [
+        {"family": "additive"},
+        {"family": "additive", "per_direction": True},
+        {"family": "multiplicative", "random_init": True},
+    ], ids=["additive", "additive-per-direction", "multiplicative"])
+    def test_delta_matches_per_batch_encoding_loop(
+        self, tiny_vae, tiny_classifiers, tiny_data, options
+    ):
+        attack_clf, _ = tiny_classifiers
+        config = AttackConfig(epochs=3, batch_size=16, seed=12, **options)
+        # reference: the frozen encoder re-run on every batch
+        delta, reverse = _init_deltas(tiny_vae.latent_dim, config)
+        trained = [delta] + ([reverse] if reverse is not None else [])
+        optimizer = ad.Adam(trained, config.lr)
+        for epoch in range(config.epochs):
+            for idx in _epoch_batches(len(tiny_data), config.batch_size,
+                                      stream(config.seed, SHUFFLE, epoch)):
+                codes = encode(tiny_data.images[idx], tiny_vae)[0].data
+                loss = _attack_batch_loss(tiny_vae, attack_clf, codes, tiny_data.labels[idx],
+                                          delta, reverse, config)
+                ad.backward(loss, trained)
+                optimizer.step()
+        pert = learn_attack_independent(tiny_vae, attack_clf, tiny_data, config)
+        assert pert.delta.tobytes() == delta.data.tobytes()
+        if reverse is None:
+            assert pert.delta_reverse is None
+        else:
+            assert pert.delta_reverse.tobytes() == reverse.data.tobytes()
 
 
 class TestPoisoningAttacks:
@@ -300,6 +346,13 @@ class TestPoisoningAttacks:
         assert pert.provenance == "poisoning"
         _, _, pert = learn_attack_poisoning_class(tiny_data, vae_config, attack_config)
         assert pert.provenance == "poisoning+class"
+
+    def test_returned_networks_hold_no_gradients(self, tiny_data, tiny_config):
+        vae_config = dataclasses.replace(tiny_config, epochs=1, recon_class_weight=1.0)
+        vae, classifier, _ = learn_attack_poisoning_class(
+            tiny_data, vae_config, AttackConfig(epochs=1, seed=6)
+        )
+        assert all(p.grad is None for p in vae.parameters() + classifier.parameters())
 
     def test_class_mode_requires_positive_weight(self, tiny_data, tiny_config):
         with pytest.raises(ValueError, match="learn_attack_poisoning"):

@@ -71,6 +71,19 @@ class TestLinear:
         assert w.grad.shape == (3, 2)
         np.testing.assert_array_equal(b.grad, [2.0, 2.0])
 
+    def test_one_node_bitwise_equals_matmul_plus_bias_graph(self):
+        rng = np.random.default_rng(6)
+        arrays = rng.standard_normal((5, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
+        scale = rng.standard_normal((5, 3))
+
+        def run(affine):
+            x, w, b = (Tensor(a.copy()) for a in arrays)
+            out = affine(x, w, b)
+            backward((ad.tanh(out) * scale).sum(), [x, w, b])
+            return [out.data.tobytes()] + [t.grad.tobytes() for t in (x, w, b)]
+
+        assert run(linear) == run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+
 
 class TestSigmoid:
     def test_symmetry_point(self):
@@ -86,6 +99,14 @@ class TestSigmoid:
     def test_value_matches_scalar_formula(self):
         expected = 1.0 / (1.0 + math.exp(-1.0))
         assert sigmoid(Tensor(1.0)).data == pytest.approx(expected, abs=1e-15)
+
+    def test_bitwise_equals_three_exp_expression(self):
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0,
+                      745.0, -745.0, 1e4, -1e4])
+        expected = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        expected = np.clip(expected, ad._SIG_FLOOR, ad._SIG_CEIL)
+        assert sigmoid(Tensor(x)).data.tobytes() == expected.tobytes()
 
     @given(hnp.arrays(np.float64, (3, 2), elements=finite_floats))
     def test_range_property(self, x):
@@ -194,6 +215,15 @@ class TestBackward:
         assert unused.grad is None
         with pytest.raises(ValueError, match="unused has no gradient"):
             Adam([w, unused], lr=0.1).step()
+
+    def test_adam_step_clears_consumed_gradients(self):
+        w = Tensor([1.0, 2.0], name="w")
+        optimizer = Adam([w], lr=0.1)
+        backward((w * w).sum(), [w])
+        optimizer.step()
+        assert w.grad is None
+        with pytest.raises(ValueError, match="w has no gradient"):
+            optimizer.step()
 
     def test_every_reachable_tensor_gets_matching_grad(self):
         x = Tensor(np.ones((2, 3)))

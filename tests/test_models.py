@@ -193,6 +193,13 @@ class TestTrainClassifier:
         assert accuracy >= 0.95
 
 
+def test_trained_networks_hold_no_gradients(tiny_data):
+    config = TrainConfig(epochs=1, batch_size=16, latent_dim=4, seed=13)
+    vae = train_vae(tiny_data, config)
+    classifier = train_classifier(tiny_data, config, role="attack")
+    assert all(p.grad is None for p in vae.parameters() + classifier.parameters())
+
+
 class TestTrainVae:
     def test_without_classifier_loss_is_plain_objective(self, tiny_data):
         config = TrainConfig(epochs=1, latent_dim=4, seed=3)
