@@ -13,7 +13,6 @@ from .attack import (
 )
 from .autodiff import (
     Adam,
-    AdamState,
     ShapeMismatchError,
     Tensor,
     adam_step,

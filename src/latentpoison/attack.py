@@ -35,6 +35,7 @@ from .models import (
     _classifier_config,
     _epoch_batches,
     _require_both_classes,
+    _require_role,
     classify,
     decode,
     encode,
@@ -247,7 +248,11 @@ def learn_attack_independent(
     where numpy multiplies a one-row batch (gemv rather than gemm), which
     can differ in the last bit. So when ``len(dataset) % config.batch_size
     == 1`` the result may differ from per-batch encoding by about 1e-16.
+
+    ``classifier`` must have the ``attack`` role: the ``eval`` classifier
+    judges the result and never shapes it.
     """
+    _require_role(classifier, "attack", "the independent attack")
     if classifier.image_dim != vae.image_dim or dataset.image_dim != vae.image_dim:
         raise ShapeMismatchError(
             f"image widths disagree: vae {vae.image_dim}, classifier "

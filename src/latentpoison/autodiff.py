@@ -5,9 +5,11 @@ that records its parents and, per parent, a closure mapping the output
 gradient to that parent's gradient. Parameters are long-lived leaf
 tensors; intermediate nodes are rebuilt on every forward pass.
 :func:`backward` differentiates only toward the tensors it is asked about,
-so frozen weights cost no gradient work and never need clearing; an
-:class:`Adam` step resets the gradients it consumes to ``None``, so a
-trained network keeps no second copy of its weights' size.
+so frozen weights cost no gradient work and never need clearing. One
+:class:`Adam` object per parameter list holds its moments, step count and
+learning rate; the decay rates and epsilon are module constants. Its step
+resets the gradients it consumes to ``None``, so a trained network keeps
+no second copy of its weights' size.
 Everything runs in 64-bit precision so finite-difference gradient checks
 at 1e-4 tolerance are meaningful.
 """
@@ -15,7 +17,6 @@ at 1e-4 tolerance are meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +29,11 @@ BCE_CLAMP = 1e-7
 # Sigmoid outputs are kept strictly inside (0, 1) even in deep saturation.
 _SIG_FLOOR = 1e-308
 _SIG_CEIL = float(np.nextafter(1.0, 0.0))
+
+# Adam's decay rates for the first and second moments, and its denominator floor.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class ShapeMismatchError(ValueError):
@@ -326,37 +332,10 @@ def backward(loss: Tensor, wrt: Sequence[Tensor]) -> None:
         t.grad = incoming.get(id(t))
 
 
-@dataclass
-class AdamState:
-    """Moment buffers and step counter for one parameter list."""
-
-    first_moment: list[Array]
-    second_moment: list[Array]
-    step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    @classmethod
-    def for_params(cls, params: Sequence[Tensor], **hyper) -> "AdamState":
-        return cls(
-            first_moment=[np.zeros_like(p.data) for p in params],
-            second_moment=[np.zeros_like(p.data) for p in params],
-            **hyper,
-        )
-
-
-def adam_step(
-    params: Sequence[Tensor],
-    grads: Sequence[Array],
-    state: AdamState,
-    lr: float,
-) -> None:
-    """One bias-corrected Adam update, applied to the parameters in place."""
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ValueError("parameter, gradient and state lengths differ")
+def adam_step(params: Sequence[Tensor], grads: Sequence[Array], optimizer: Adam) -> None:
+    """One bias-corrected update of ``optimizer``'s moments, applied to the parameters in place."""
+    if len(params) != len(grads) or len(params) != len(optimizer.first_moment):
+        raise ValueError("parameter, gradient and moment lengths differ")
     for i, (p, g) in enumerate(zip(params, grads)):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
@@ -366,29 +345,34 @@ def adam_step(
             )
         if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for parameter {p.name or i}")
-    state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.asarray(g) ** 2
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+    optimizer.step_count += 1
+    t = optimizer.step_count
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
+    for p, g, m, v in zip(params, grads, optimizer.first_moment, optimizer.second_moment):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.asarray(g) ** 2
+        p.data -= optimizer.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 class Adam:
-    """Convenience wrapper driving :func:`adam_step` from tensor gradients.
+    """Adam over a fixed parameter list: its moments, step count and learning rate.
 
-    :meth:`step` consumes each parameter's ``grad`` and resets it to
-    ``None``, so a trained network holds no stale copy of its gradient.
+    :meth:`step` consumes each parameter's ``grad`` through :func:`adam_step`
+    and resets it to ``None``, so a trained network holds no stale copy of
+    its gradient.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float, **hyper):
+    def __init__(self, params: Sequence[Tensor], lr: float):
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.state = AdamState.for_params(self.params, **hyper)
+        self.first_moment = [np.zeros_like(p.data) for p in self.params]
+        self.second_moment = [np.zeros_like(p.data) for p in self.params]
+        self.step_count = 0
 
     def step(self) -> None:
         grads = []
@@ -396,7 +380,7 @@ class Adam:
             if p.grad is None:
                 raise ValueError(f"parameter {p.name or i} has no gradient")
             grads.append(p.grad)
-        adam_step(self.params, grads, self.state, self.lr)
+        adam_step(self.params, grads, self)
         for p in self.params:
             p.grad = None
 

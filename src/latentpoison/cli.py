@@ -93,6 +93,10 @@ class GenDataArgs:
 
 def cmd_gen_data(args) -> int:
     cfg = _merge(GenDataArgs(), args)
+    if cfg.test_count < 0:
+        raise ConfigError(
+            f"test_count must be non-negative (0 writes no split), got {cfg.test_count}"
+        )
     _echo("gen-data", cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

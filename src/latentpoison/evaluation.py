@@ -13,7 +13,7 @@ import numpy as np
 
 from .attack import Perturbation, apply_perturbation
 from .data import Dataset
-from .models import ClassifierParams, VaeParams, classify, decode, encode_mean
+from .models import ClassifierParams, VaeParams, _require_role, classify, decode, encode_mean
 
 # Half-width of the central interval covering 99.5% of a unit Gaussian.
 PRIOR_INTERVAL_HALFWIDTH = 2.807
@@ -85,11 +85,7 @@ def confidence_table(
     Attacked groups are scored against the direction's target label, so a
     perfect attack matches the reconstruction rows exactly.
     """
-    if classifier.role != "eval":
-        raise ValueError(
-            f"confidence tables must use the eval classifier, got role "
-            f"{classifier.role!r}"
-        )
+    _require_role(classifier, "eval", "confidence tables")
     x0 = test_set.images[test_set.class_indices(0)]
     x1 = test_set.images[test_set.class_indices(1)]
     if len(x0) == 0 or len(x1) == 0:
@@ -127,17 +123,18 @@ def epsilon_gap(rows: list[ConfidenceRow]) -> tuple[float, float]:
     return plus, minus
 
 
-def detection_probability(shift: float, interval_halfwidth: float = PRIOR_INTERVAL_HALFWIDTH) -> float:
-    """Chance a unit-Gaussian latent element shifted by ``shift`` leaves the interval.
+def detection_probability(shift: float) -> float:
+    """Chance a unit-Gaussian latent element shifted by ``shift`` leaves the prior interval.
 
-    With Phi the standard normal CDF and h the half-width, this is
-    1 - Phi(h - shift) + Phi(-h - shift); an untouched element already
-    falls outside with probability ~0.005 for the default interval.
+    With Phi the standard normal CDF and h = PRIOR_INTERVAL_HALFWIDTH,
+    this is 1 - Phi(h - shift) + Phi(-h - shift); an untouched element
+    already falls outside with probability ~0.005.
     """
     def phi(x: float) -> float:
         return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
-    return 1.0 - phi(interval_halfwidth - shift) + phi(-interval_halfwidth - shift)
+    h = PRIOR_INTERVAL_HALFWIDTH
+    return 1.0 - phi(h - shift) + phi(-h - shift)
 
 
 def sparsity_profile(delta: np.ndarray) -> tuple[np.ndarray, float]:

@@ -36,6 +36,12 @@ ROLES = ("attack", "eval")
 INIT_SCHEME = "uniform(+-sqrt(6/(fan_in+fan_out))), zero bias"
 
 
+def _require_role(classifier: ClassifierParams, role: str, use: str) -> None:
+    """Reject a classifier of the other role: the attack never shapes itself on the judge."""
+    if classifier.role != role:
+        raise ValueError(f"{use} must use the {role} classifier, got role {classifier.role!r}")
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters shared by the VAE and classifier trainers.
@@ -304,12 +310,13 @@ def train_vae(
     """Fit the VAE with Adam.
 
     With ``recon_classifier`` set, the objective also pushes decoded
-    reconstructions toward their true class under that (frozen)
-    classifier, weighted by ``config.recon_class_weight``. Gradients flow
-    back through the classifier to the VAE only; its own parameters get
-    none and are never updated here.
+    reconstructions toward their true class under that (frozen,
+    ``attack``-role) classifier, weighted by ``config.recon_class_weight``.
+    Gradients flow back through the classifier to the VAE only; its own
+    parameters get none and are never updated here.
     """
     if recon_classifier is not None:
+        _require_role(recon_classifier, "attack", "the reconstruction term")
         if config.recon_class_weight <= 0:
             raise ValueError(
                 "recon_class_weight must be positive when a reconstruction "

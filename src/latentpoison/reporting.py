@@ -117,8 +117,8 @@ def write_pgm(image: np.ndarray, path) -> None:
         fh.write(_quantize(image).tobytes())
 
 
-def grid_array(images, columns: int, separator: float = 0.0) -> np.ndarray:
-    """Tile same-sized images row-major with 1-pixel separators and border."""
+def grid_array(images, columns: int) -> np.ndarray:
+    """Tile same-sized images row-major with black 1-pixel separators and border."""
     if columns < 1:
         raise ValueError(f"columns must be at least 1, got {columns}")
     images = [np.asarray(im) for im in images]
@@ -129,9 +129,7 @@ def grid_array(images, columns: int, separator: float = 0.0) -> np.ndarray:
         if im.shape != (height, width):
             raise ValueError(f"image dimensions differ: {im.shape} vs {(height, width)}")
     rows = -(-len(images) // columns)
-    grid = np.full(
-        (rows * height + rows + 1, columns * width + columns + 1), separator, dtype=np.float64
-    )
+    grid = np.zeros((rows * height + rows + 1, columns * width + columns + 1))
     for i, im in enumerate(images):
         r, c = divmod(i, columns)
         top = 1 + r * (height + 1)

@@ -192,6 +192,11 @@ class TestIndependentAttack:
         with pytest.raises(ShapeMismatchError):
             learn_attack_independent(tiny_vae, attack_clf, other, AttackConfig(epochs=1))
 
+    def test_eval_classifier_rejected(self, tiny_vae, tiny_classifiers, tiny_data):
+        _, eval_clf = tiny_classifiers
+        with pytest.raises(ValueError, match="attack classifier, got role 'eval'"):
+            learn_attack_independent(tiny_vae, eval_clf, tiny_data, AttackConfig(epochs=1))
+
     def test_final_objective_no_worse_than_zero_start(self, tiny_vae, tiny_classifiers, tiny_data):
         attack_clf, _ = tiny_classifiers
         config = AttackConfig(epochs=15, lr=0.02, seed=3)

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from latentpoison import autodiff as ad
 from latentpoison.autodiff import (
     Adam,
-    AdamState,
     ShapeMismatchError,
     Tensor,
     adam_step,
@@ -303,14 +302,12 @@ def _reference_adam(grad_fn, w0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
 class TestAdam:
     def test_zero_gradient_no_change(self):
         p = Tensor([0.0])
-        state = AdamState.for_params([p])
-        adam_step([p], [np.zeros(1)], state, lr=0.001)
+        adam_step([p], [np.zeros(1)], Adam([p], lr=0.001))
         np.testing.assert_array_equal(p.data, [0.0])
 
     def test_first_step_is_minus_lr(self):
         p = Tensor([0.0])
-        state = AdamState.for_params([p])
-        adam_step([p], [np.ones(1)], state, lr=0.001)
+        adam_step([p], [np.ones(1)], Adam([p], lr=0.001))
         assert p.data[0] == pytest.approx(-0.001, abs=1e-6)
 
     def test_quadratic_descent_matches_reference(self):
@@ -325,16 +322,20 @@ class TestAdam:
 
     def test_step_count_increments(self):
         p = Tensor([1.0])
-        state = AdamState.for_params([p])
+        opt = Adam([p], lr=0.01)
         for expected in (1, 2, 3):
-            adam_step([p], [np.ones(1)], state, lr=0.01)
-            assert state.step_count == expected
+            adam_step([p], [np.ones(1)], opt)
+            assert opt.step_count == expected
 
     def test_non_finite_gradient_names_parameter(self):
         p = Tensor([1.0], name="enc0.weight")
-        state = AdamState.for_params([p])
         with pytest.raises(ValueError, match="enc0.weight"):
-            adam_step([p], [np.array([np.nan])], state, lr=0.01)
+            adam_step([p], [np.array([np.nan])], Adam([p], lr=0.01))
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1])
+    def test_non_positive_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            Adam([Tensor([1.0])], lr=lr)
 
     def test_missing_gradient_names_parameter(self):
         p = Tensor([1.0], name="dec1.bias")

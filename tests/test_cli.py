@@ -46,6 +46,15 @@ class TestGenData:
         assert code == 0
         assert (tmp_path / "images.idx").exists()
 
+    def test_negative_test_count_rejected(self, tmp_path, capsys):
+        code = main([
+            "gen-data", "--out-dir", str(tmp_path / "out"),
+            "--count", "10", "--width", "8", "--height", "8", "--test-count", "-5",
+        ])
+        assert code == 2
+        assert "test_count" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainingCommands:
     def test_train_classifier_and_vae(self, data_dir, tmp_path):
@@ -188,6 +197,24 @@ class TestAttackAndEvaluate:
         ])
         assert code == 2
         assert "requires --vae and --classifier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, wrong_role", [
+        ("learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/eval.ckpt"
+         " --out-dir {out} --epochs 1", "eval"),
+        ("train-vae --recon-classifier {art}/eval.ckpt --recon-class-weight 1.0"
+         " --out {out}/vae.ckpt --epochs 1", "eval"),
+        ("evaluate --vae {art}/vae.ckpt --perturbation {art}/perturbation.ckpt"
+         " --classifier {art}/attack.ckpt --out-dir {out}", "attack"),
+    ], ids=["learn-attack", "train-vae", "evaluate"])
+    def test_classifier_of_the_other_role_rejected(
+        self, data_dir, artifacts, tmp_path, capsys, command, wrong_role
+    ):
+        # the attack never trains against the eval classifier, which never scores for it
+        out = tmp_path / "out"
+        args = [a.format(art=artifacts, out=out) for a in command.split()]
+        assert main([*args, *_train_args(data_dir, [])]) == 2
+        assert f"got role {wrong_role!r}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_poisoning_writes_vae_too(self, data_dir, tmp_path):
         code = main([

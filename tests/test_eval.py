@@ -148,10 +148,6 @@ class TestDetectionProbability:
     def test_monotone_in_magnitude(self, shift, bump):
         assert detection_probability(shift + bump) > detection_probability(shift) - 1e-15
 
-    def test_interval_halfwidth_configurable(self):
-        wider = detection_probability(1.0, interval_halfwidth=4.0)
-        assert wider < detection_probability(1.0)
-
     def test_bounded(self):
         for shift in (-50, -5, 0, 5, 50):
             assert 0.0 <= detection_probability(shift) <= 1.0

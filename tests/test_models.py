@@ -219,6 +219,12 @@ class TestTrainVae:
         with pytest.raises(ValueError, match="recon_class_weight"):
             train_vae(tiny_data, config, recon_classifier=attack_clf)
 
+    def test_eval_classifier_rejected(self, tiny_data, tiny_classifiers):
+        _, eval_clf = tiny_classifiers
+        config = TrainConfig(epochs=1, recon_class_weight=1.0)
+        with pytest.raises(ValueError, match="attack classifier, got role 'eval'"):
+            train_vae(tiny_data, config, recon_classifier=eval_clf)
+
     def test_classifier_width_mismatch_rejected(self, tiny_data):
         clf = ClassifierParams.initialize(100, np.random.default_rng(0), role="attack")
         config = TrainConfig(epochs=1, recon_class_weight=1.0)
