@@ -33,16 +33,15 @@ from .models import (
     TrainConfig,
     VaeParams,
     _classifier_config,
-    _epoch_batches,
-    _require_both_classes,
     _require_role,
+    _train,
+    _vae_step,
     classify,
     decode,
     encode,
     train_classifier,
-    vae_batch_loss,
 )
-from .seeds import ATTACK_INIT, LATENT_NOISE, PARAM_INIT, SHUFFLE, stream
+from .seeds import ATTACK_INIT, stream
 
 FAMILIES = ("additive", "multiplicative")
 DIRECTIONS = ("0to1", "1to0")
@@ -212,6 +211,23 @@ def _latent_means(vae: VaeParams, images: np.ndarray, chunk: int) -> np.ndarray:
     ])
 
 
+def _attack_step(vae: VaeParams, classifier: ClassifierParams, labels: np.ndarray,
+                 config: AttackConfig, codes) -> tuple[tuple[Tensor, Tensor | None], tuple]:
+    """Freshly initialized perturbation vectors and their :func:`models._train` step.
+
+    ``codes(idx)`` returns the latent means of the batch's rows as a plain
+    array: cached means of a frozen VAE, or the means of a VAE that is
+    still training, read after its own step on the batch.
+    """
+    delta, reverse = _init_deltas(vae.latent_dim, config)
+    optimizer = Adam([delta] if reverse is None else [delta, reverse], config.lr)
+
+    def batch_loss(idx, noise):
+        return _attack_batch_loss(vae, classifier, codes(idx), labels[idx], delta, reverse, config)
+
+    return (delta, reverse), (config.epochs, optimizer, batch_loss)
+
+
 def _finish(delta: Tensor, reverse: Tensor | None, config: AttackConfig,
             provenance: str) -> Perturbation:
     if config.family == "multiplicative" and np.all(delta.data >= 0.0):
@@ -239,10 +255,12 @@ def learn_attack_independent(
     """Optimize the perturbation against a frozen, pre-trained VAE and classifier.
 
     The frozen encoder's latent means are computed once, in row order and
-    in chunks of ``config.batch_size`` rows. Each batch then tampers with
-    its cached means in the direction chosen by each sample's label,
-    decodes, and scores. Only the perturbation is differentiated and
-    updated; no gradient is computed for VAE or classifier weights.
+    in chunks of ``config.batch_size`` rows. The perturbation is then the
+    one step of :func:`models._train`, with ``config.seed`` fixing the
+    batch order: each batch tampers with its cached means in the
+    direction chosen by each sample's label, decodes, and scores. Only the
+    perturbation is differentiated and updated; no gradient is computed
+    for VAE or classifier weights.
 
     A cached row equals the row a per-batch encoding would give, except
     where numpy multiplies a one-row batch (gemv rather than gemm), which
@@ -258,19 +276,10 @@ def learn_attack_independent(
             f"image widths disagree: vae {vae.image_dim}, classifier "
             f"{classifier.image_dim}, dataset {dataset.image_dim}"
         )
-    delta, reverse = _init_deltas(vae.latent_dim, config)
-    trained = [delta] + ([reverse] if reverse is not None else [])
-    optimizer = Adam(trained, config.lr)
     codes = _latent_means(vae, dataset.images, config.batch_size)
-    for epoch in range(config.epochs):
-        shuffle = stream(config.seed, SHUFFLE, epoch)
-        for idx in _epoch_batches(len(dataset), config.batch_size, shuffle):
-            loss = _attack_batch_loss(
-                vae, classifier, codes[idx], dataset.labels[idx], delta, reverse, config
-            )
-            ad.backward(loss, trained)
-            optimizer.step()
-    return _finish(delta, reverse, config, "independent")
+    deltas, step = _attack_step(vae, classifier, dataset.labels, config, lambda idx: codes[idx])
+    _train(len(dataset), config.batch_size, config.seed, [step])
+    return _finish(*deltas, config, "independent")
 
 
 def _run_poisoning(
@@ -278,43 +287,24 @@ def _run_poisoning(
     vae_config: TrainConfig,
     attack_config: AttackConfig,
     with_class_term: bool,
-    provenance: str,
 ) -> tuple[VaeParams, ClassifierParams, Perturbation]:
-    """Joint loop shared by the two poisoning protocols.
+    """Train the attack classifier, then ``_train`` a VAE step and a perturbation step.
 
-    A fresh attack classifier is trained first and frozen. Each mini-batch
-    then takes one Adam step on the VAE objective (while VAE epochs
-    remain) and one Adam step on the perturbation against the current VAE
-    (while attack epochs remain). The two optimizers keep separate state;
-    VAE updates never depend on the perturbation, so a plain poisoning run
-    reproduces the exact VAE a standalone training run would yield for the
-    same config.
+    Both steps run on the VAE's seed and batches, each for its own epochs;
+    the perturbation step encodes the batch with the VAE as its step left
+    it. VAE steps never read the perturbation, so a plain poisoning run
+    reproduces :func:`models.train_vae` for the same config exactly.
+    ``with_class_term`` adds the classifier's reconstruction term.
     """
-    _require_both_classes(dataset, "attack training")
     classifier = train_classifier(dataset, _classifier_config(vae_config, "attack"), "attack")
-    vae = VaeParams.initialize(
-        dataset.image_dim, vae_config.latent_dim, stream(vae_config.seed, PARAM_INIT)
+    vae, vae_step = _vae_step(dataset, vae_config, classifier if with_class_term else None)
+    deltas, attack_step = _attack_step(
+        vae, classifier, dataset.labels, attack_config,
+        lambda idx: encode(dataset.images[idx], vae)[0].data,
     )
-    delta, reverse = _init_deltas(vae_config.latent_dim, attack_config)
-    trained = [delta] + ([reverse] if reverse is not None else [])
-    vae_optimizer = Adam(vae.parameters(), vae_config.lr)
-    delta_optimizer = Adam(trained, attack_config.lr)
-    recon_classifier = classifier if with_class_term else None
-    for epoch in range(max(vae_config.epochs, attack_config.epochs)):
-        noise_rng = stream(vae_config.seed, LATENT_NOISE, epoch)
-        shuffle = stream(vae_config.seed, SHUFFLE, epoch)
-        for idx in _epoch_batches(len(dataset), vae_config.batch_size, shuffle):
-            x, y = dataset.images[idx], dataset.labels[idx]
-            if epoch < vae_config.epochs:
-                loss = vae_batch_loss(vae, x, y, vae_config, noise_rng, recon_classifier)
-                ad.backward(loss, vae_optimizer.params)
-                vae_optimizer.step()
-            if epoch < attack_config.epochs:
-                codes = encode(x, vae)[0].data
-                loss = _attack_batch_loss(vae, classifier, codes, y, delta, reverse, attack_config)
-                ad.backward(loss, trained)
-                delta_optimizer.step()
-    return vae, classifier, _finish(delta, reverse, attack_config, provenance)
+    _train(len(dataset), vae_config.batch_size, vae_config.seed, [vae_step, attack_step])
+    provenance = "poisoning+class" if with_class_term else "poisoning"
+    return vae, classifier, _finish(*deltas, attack_config, provenance)
 
 
 def learn_attack_poisoning(
@@ -328,9 +318,7 @@ def learn_attack_poisoning(
     VAE as it currently stands, so the final vector is adapted to the
     finished model without ever influencing it.
     """
-    vae, _, perturbation = _run_poisoning(
-        dataset, vae_config, attack_config, with_class_term=False, provenance="poisoning"
-    )
+    vae, _, perturbation = _run_poisoning(dataset, vae_config, attack_config, with_class_term=False)
     return vae, perturbation
 
 
@@ -351,7 +339,4 @@ def learn_attack_poisoning_class(
             "poisoning+class requires recon_class_weight > 0; "
             "use learn_attack_poisoning for a plain poisoning run"
         )
-    vae, classifier, perturbation = _run_poisoning(
-        dataset, vae_config, attack_config, with_class_term=True, provenance="poisoning+class"
-    )
-    return vae, classifier, perturbation
+    return _run_poisoning(dataset, vae_config, attack_config, with_class_term=True)

@@ -98,11 +98,12 @@ def cmd_gen_data(args) -> int:
             f"test_count must be non-negative (0 writes no split), got {cfg.test_count}"
         )
     _echo("gen-data", cfg)
+    data = generate_synthetic(cfg.count, cfg.width, cfg.height, cfg.seed)
+    parts = split(data, cfg.test_count, cfg.seed) if cfg.test_count > 0 else None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = generate_synthetic(cfg.count, cfg.width, cfg.height, cfg.seed)
-    if cfg.test_count > 0:
-        train_set, test_set = split(data, cfg.test_count, cfg.seed)
+    if parts is not None:
+        train_set, test_set = parts
         save_idx(train_set, out / "train-images.idx", out / "train-labels.idx")
         save_idx(test_set, out / "test-images.idx", out / "test-labels.idx")
         print(f"wrote {len(train_set)} train and {len(test_set)} test samples to {out}")
@@ -161,7 +162,6 @@ def cmd_learn_attack(args) -> int:
     attack_cfg, vae_cfg = _learn_attack_configs(args)
     dataset = _load_dataset(args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.mode == "independent":
         if not args.vae or not args.classifier:
             raise ConfigError("independent mode requires --vae and --classifier")
@@ -173,6 +173,7 @@ def cmd_learn_attack(args) -> int:
         _echo("learn-attack", cfg)
         suffix = f"_reg_{reg_weight}" if args.sweep else ""
         echo = dataclasses.asdict(cfg) | {"mode": args.mode}
+        artifacts = {}
         if args.mode == "independent":
             perturbation = learn_attack_independent(vae, classifier, dataset, cfg)
         else:
@@ -182,9 +183,13 @@ def cmd_learn_attack(args) -> int:
                 vae, perturbation = learn_attack_poisoning(dataset, vae_cfg, cfg)
             else:
                 vae, clf, perturbation = learn_attack_poisoning_class(dataset, vae_cfg, cfg)
-                save_checkpoint(clf, out / f"attack_classifier{suffix}.ckpt", config=echo)
-            save_checkpoint(vae, out / f"vae{suffix}.ckpt", config=echo)
-        save_checkpoint(perturbation, out / f"perturbation{suffix}.ckpt", config=echo)
+                artifacts["attack_classifier"] = clf
+            artifacts["vae"] = vae
+        artifacts["perturbation"] = perturbation
+        # made only once the attack has accepted its inputs, so a rejected run leaves none
+        out.mkdir(parents=True, exist_ok=True)
+        for name, params in artifacts.items():
+            save_checkpoint(params, out / f"{name}{suffix}.ckpt", config=echo)
         print(f"wrote {out / f'perturbation{suffix}.ckpt'}")
     return 0
 
@@ -194,8 +199,6 @@ def cmd_evaluate(args) -> int:
     vae, _ = load_checkpoint(args.vae, expect_kind="vae")
     perturbation, pert_config = load_checkpoint(args.perturbation, expect_kind="perturbation")
     classifier, _ = load_checkpoint(args.classifier, expect_kind="classifier")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     echo = {
         "vae": str(args.vae),
         "perturbation": str(args.perturbation),
@@ -206,6 +209,8 @@ def cmd_evaluate(args) -> int:
     if pert_config:
         echo |= {f"attack_{k}": v for k, v in pert_config.items()}
     report = evaluate_attack(vae, perturbation, classifier, dataset, config=echo)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_report(report, out / "report.csv")
     write_delta(perturbation, out / "delta_elements.csv")
     for row in report.rows:

@@ -260,25 +260,37 @@ def _epoch_batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [order[start : start + batch_size] for start in range(0, n, batch_size)]
 
 
-def _require_both_classes(dataset: Dataset, what: str) -> None:
-    if len(dataset.class_indices(0)) == 0 or len(dataset.class_indices(1)) == 0:
-        raise ValueError(f"{what} requires samples from both classes")
+def _train(n: int, batch_size: int, seed: int, steps: list[tuple]) -> None:
+    """The one training loop: every trainer and attack protocol runs here.
+
+    A step is an ``(epochs, optimizer, batch_loss)`` tuple. Each epoch draws
+    the batch order and the latent noise from ``seed``; on every batch, each
+    step with epochs left takes, in list order, one Adam step on
+    ``batch_loss(idx, noise)`` toward its own optimizer's parameters.
+    """
+    for epoch in range(max(epochs for epochs, _, _ in steps)):
+        noise = stream(seed, LATENT_NOISE, epoch)
+        for idx in _epoch_batches(n, batch_size, stream(seed, SHUFFLE, epoch)):
+            for epochs, optimizer, batch_loss in steps:
+                if epoch < epochs:
+                    ad.backward(batch_loss(idx, noise), optimizer.params)
+                    optimizer.step()
 
 
 def train_classifier(dataset: Dataset, config: TrainConfig, role: str) -> ClassifierParams:
     """Fit a binary classifier with Adam; same config and seed, same parameters."""
-    _require_both_classes(dataset, "train_classifier")
+    if len(dataset.class_indices(0)) == 0 or len(dataset.class_indices(1)) == 0:
+        raise ValueError("train_classifier requires samples from both classes")
     params = ClassifierParams.initialize(
         dataset.image_dim, stream(config.seed, PARAM_INIT), role
     )
-    optimizer = Adam(params.parameters(), config.lr)
     targets = _label_column(dataset.labels)
-    for epoch in range(config.epochs):
-        for idx in _epoch_batches(len(dataset), config.batch_size, stream(config.seed, SHUFFLE, epoch)):
-            scores = classify(dataset.images[idx], params)
-            loss = ad.bce(scores, targets[idx])
-            ad.backward(loss, optimizer.params)
-            optimizer.step()
+
+    def batch_loss(idx, noise):
+        return ad.bce(classify(dataset.images[idx], params), targets[idx])
+
+    step = (config.epochs, Adam(params.parameters(), config.lr), batch_loss)
+    _train(len(dataset), config.batch_size, config.seed, [step])
     return params
 
 
@@ -302,19 +314,9 @@ def vae_batch_loss(
     return loss
 
 
-def train_vae(
-    dataset: Dataset,
-    config: TrainConfig,
-    recon_classifier: ClassifierParams | None = None,
-) -> VaeParams:
-    """Fit the VAE with Adam.
-
-    With ``recon_classifier`` set, the objective also pushes decoded
-    reconstructions toward their true class under that (frozen,
-    ``attack``-role) classifier, weighted by ``config.recon_class_weight``.
-    Gradients flow back through the classifier to the VAE only; its own
-    parameters get none and are never updated here.
-    """
+def _vae_step(dataset: Dataset, config: TrainConfig,
+              recon_classifier: ClassifierParams | None) -> tuple[VaeParams, tuple]:
+    """A freshly initialized VAE and its :func:`_train` step on ``dataset``."""
     if recon_classifier is not None:
         _require_role(recon_classifier, "attack", "the reconstruction term")
         if config.recon_class_weight <= 0:
@@ -330,15 +332,30 @@ def train_vae(
     vae = VaeParams.initialize(
         dataset.image_dim, config.latent_dim, stream(config.seed, PARAM_INIT)
     )
-    optimizer = Adam(vae.parameters(), config.lr)
-    for epoch in range(config.epochs):
-        noise_rng = stream(config.seed, LATENT_NOISE, epoch)
-        for idx in _epoch_batches(len(dataset), config.batch_size, stream(config.seed, SHUFFLE, epoch)):
-            loss = vae_batch_loss(
-                vae, dataset.images[idx], dataset.labels[idx], config, noise_rng, recon_classifier
-            )
-            ad.backward(loss, optimizer.params)
-            optimizer.step()
+
+    def batch_loss(idx, noise):
+        return vae_batch_loss(
+            vae, dataset.images[idx], dataset.labels[idx], config, noise, recon_classifier
+        )
+
+    return vae, (config.epochs, Adam(vae.parameters(), config.lr), batch_loss)
+
+
+def train_vae(
+    dataset: Dataset,
+    config: TrainConfig,
+    recon_classifier: ClassifierParams | None = None,
+) -> VaeParams:
+    """Fit the VAE with Adam as the one step of :func:`_train`, seeded by ``config.seed``.
+
+    With ``recon_classifier`` set, the objective also pushes decoded
+    reconstructions toward their true class under that (frozen,
+    ``attack``-role) classifier, weighted by ``config.recon_class_weight``.
+    Gradients flow back through the classifier to the VAE only; its own
+    parameters get none and are never updated here.
+    """
+    vae, step = _vae_step(dataset, config, recon_classifier)
+    _train(len(dataset), config.batch_size, config.seed, [step])
     return vae
 
 
@@ -347,13 +364,3 @@ def encode_mean(x: np.ndarray, vae: VaeParams) -> np.ndarray:
     mu, _ = encode(x, vae)
     return mu.data
 
-
-def dataset_vae_loss(
-    dataset: Dataset, vae: VaeParams, config: TrainConfig, noise: np.ndarray
-) -> float:
-    """Full-dataset objective under a fixed noise draw, for progress checks."""
-    xt = Tensor(dataset.images)
-    mu, log_var = encode(xt, vae)
-    z = mu + ad.exp(log_var * 0.5) * Tensor(noise)
-    x_hat = decode(z, vae)
-    return float(vae_loss(dataset.images, x_hat, mu, log_var, config.kl_weight).data)

@@ -22,8 +22,18 @@ from latentpoison.attack import (
     learn_attack_poisoning_class,
 )
 from latentpoison.autodiff import ShapeMismatchError, Tensor
-from latentpoison.models import _epoch_batches, classify, decode, encode, train_vae
-from latentpoison.seeds import SHUFFLE, stream
+from latentpoison.models import (
+    VaeParams,
+    _classifier_config,
+    _epoch_batches,
+    classify,
+    decode,
+    encode,
+    train_classifier,
+    train_vae,
+    vae_batch_loss,
+)
+from latentpoison.seeds import LATENT_NOISE, PARAM_INIT, SHUFFLE, stream
 
 # Vectors drawn on a bounded power-of-two lattice: on that grid float
 # addition is exact, which is what makes the transform pair exactly
@@ -327,13 +337,48 @@ class TestPoisoningAttacks:
         )
         assert changed
 
-    def test_poisoning_vae_matches_standalone_training(self, tiny_data, tiny_config):
-        # perturbation steps must not influence the autoencoder trajectory
-        vae_config = dataclasses.replace(tiny_config, epochs=2)
-        joint_vae, _ = learn_attack_poisoning(tiny_data, vae_config, AttackConfig(epochs=2, seed=0))
+    @pytest.mark.parametrize("vae_epochs, attack_epochs", [(2, 2), (1, 3), (3, 1)])
+    def test_poisoning_vae_matches_standalone_training(
+        self, tiny_data, tiny_config, vae_epochs, attack_epochs
+    ):
+        # perturbation steps must not influence the autoencoder trajectory,
+        # also in epochs where only one of the two steps is still live
+        vae_config = dataclasses.replace(tiny_config, epochs=vae_epochs)
+        attack_config = AttackConfig(epochs=attack_epochs, seed=0)
+        joint_vae, _ = learn_attack_poisoning(tiny_data, vae_config, attack_config)
         plain_vae = train_vae(tiny_data, vae_config)
         for a, b in zip(joint_vae.parameters(), plain_vae.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("vae_epochs, attack_epochs", [(2, 2), (1, 3), (3, 1)])
+    def test_delta_matches_alternating_reference_loop(
+        self, tiny_data, tiny_config, vae_epochs, attack_epochs
+    ):
+        vae_config = dataclasses.replace(tiny_config, epochs=vae_epochs)
+        config = AttackConfig(epochs=attack_epochs, batch_size=16, seed=3, per_direction=True)
+        # reference: per batch, a VAE step, then a perturbation step on the updated VAE
+        classifier = train_classifier(tiny_data, _classifier_config(vae_config, "attack"), "attack")
+        vae = VaeParams.initialize(tiny_data.image_dim, vae_config.latent_dim,
+                                   stream(vae_config.seed, PARAM_INIT))
+        vae_optimizer = ad.Adam(vae.parameters(), vae_config.lr)
+        delta, reverse = _init_deltas(vae.latent_dim, config)
+        optimizer = ad.Adam([delta, reverse], config.lr)
+        for epoch in range(max(vae_epochs, attack_epochs)):
+            noise = stream(vae_config.seed, LATENT_NOISE, epoch)
+            for idx in _epoch_batches(len(tiny_data), vae_config.batch_size,
+                                      stream(vae_config.seed, SHUFFLE, epoch)):
+                x, y = tiny_data.images[idx], tiny_data.labels[idx]
+                if epoch < vae_epochs:
+                    ad.backward(vae_batch_loss(vae, x, y, vae_config, noise), vae.parameters())
+                    vae_optimizer.step()
+                if epoch < attack_epochs:
+                    codes = encode(x, vae)[0].data
+                    loss = _attack_batch_loss(vae, classifier, codes, y, delta, reverse, config)
+                    ad.backward(loss, [delta, reverse])
+                    optimizer.step()
+        _, pert = learn_attack_poisoning(tiny_data, vae_config, config)
+        assert pert.delta.tobytes() == delta.data.tobytes()
+        assert pert.delta_reverse.tobytes() == reverse.data.tobytes()
 
     def test_same_seed_reproducible(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=2)

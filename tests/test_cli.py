@@ -55,6 +55,15 @@ class TestGenData:
         assert "test_count" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_split_rejected_before_out_dir_is_made(self, tmp_path, capsys):
+        code = main([
+            "gen-data", "--out-dir", str(tmp_path / "gd"),
+            "--count", "10", "--width", "8", "--height", "8", "--test-count", "10",
+        ])
+        assert code == 2
+        assert "test_count" in capsys.readouterr().err
+        assert not (tmp_path / "gd").exists()
+
 
 class TestTrainingCommands:
     def test_train_classifier_and_vae(self, data_dir, tmp_path):
@@ -198,6 +207,16 @@ class TestAttackAndEvaluate:
         assert code == 2
         assert "requires --vae and --classifier" in capsys.readouterr().err
 
+    def test_missing_checkpoint_leaves_no_out_dir(self, data_dir, artifacts, tmp_path, capsys):
+        code = main([
+            "learn-attack", "--mode", "independent", *_train_args(data_dir, []),
+            "--vae", str(tmp_path / "nope.ckpt"), "--classifier", str(artifacts / "attack.ckpt"),
+            "--out-dir", str(tmp_path / "la"), "--epochs", "1",
+        ])
+        assert code == 2
+        assert "nope.ckpt" in capsys.readouterr().err
+        assert not (tmp_path / "la").exists()
+
     @pytest.mark.parametrize("command, wrong_role", [
         ("learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/eval.ckpt"
          " --out-dir {out} --epochs 1", "eval"),
@@ -214,7 +233,7 @@ class TestAttackAndEvaluate:
         args = [a.format(art=artifacts, out=out) for a in command.split()]
         assert main([*args, *_train_args(data_dir, [])]) == 2
         assert f"got role {wrong_role!r}" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_poisoning_writes_vae_too(self, data_dir, tmp_path):
         code = main([
