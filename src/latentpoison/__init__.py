@@ -8,8 +8,7 @@ from .attack import (
     apply_perturbation,
     attack_loss,
     learn_attack_independent,
-    learn_attack_poisoning,
-    learn_attack_poisoning_class,
+    learn_attack_protocol,
 )
 from .autodiff import (
     Adam,

@@ -1,11 +1,13 @@
 """Learning a single constant latent perturbation that flips decoded classes.
 
-Three protocols produce the perturbation:
+The paper's three protocols are the ``MODES``, and
+:func:`learn_attack_protocol` is their one entry point:
 
-* independent: the VAE and a classifier are already trained and frozen;
-  only the perturbation is optimized against them.
+* independent: the VAE and the attack classifier are trained first and
+  then frozen; only the perturbation is optimized against them
+  (:func:`learn_attack_independent`).
 * poisoning: the perturbation is optimized while the VAE itself trains,
-  alternating one VAE step and one perturbation step per mini-batch.
+  one VAE step and then one perturbation step per mini-batch.
 * poisoning+class: as poisoning, but the VAE objective additionally
   rewards reconstructions the (frozen) attack classifier labels correctly,
   which sharpens class information in the latent space.
@@ -40,11 +42,23 @@ from .models import (
     decode,
     encode,
     train_classifier,
+    train_vae,
 )
 from .seeds import ATTACK_INIT, stream
 
+MODES = ("independent", "poisoning", "poisoning+class")
 FAMILIES = ("additive", "multiplicative")
 DIRECTIONS = ("0to1", "1to0")
+
+
+def _check_fields(norm_order: int, family: str, reg_weight: float) -> None:
+    """The rules an attack config and a learned perturbation share."""
+    if reg_weight < 0:
+        raise ValueError(f"reg_weight must be non-negative, got {reg_weight}")
+    if norm_order not in (1, 2):
+        raise ValueError(f"norm_order must be 1 or 2, got {norm_order}")
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
 
 
 @dataclass
@@ -64,12 +78,7 @@ class AttackConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.reg_weight < 0:
-            raise ValueError(f"reg_weight must be non-negative, got {self.reg_weight}")
-        if self.norm_order not in (1, 2):
-            raise ValueError(f"norm_order must be 1 or 2, got {self.norm_order}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        _check_fields(self.norm_order, self.family, self.reg_weight)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
@@ -91,6 +100,9 @@ class Perturbation:
     delta_reverse: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_fields(self.norm_order, self.family, self.reg_weight)
+        if self.provenance not in MODES:
+            raise ValueError(f"provenance must be one of {MODES}, got {self.provenance!r}")
         self.delta = np.asarray(self.delta, dtype=np.float64)
         if self.delta.ndim != 1:
             raise ValueError(f"delta must be a vector, got shape {self.delta.shape}")
@@ -282,61 +294,45 @@ def learn_attack_independent(
     return _finish(*deltas, config, "independent")
 
 
-def _run_poisoning(
+def learn_attack_protocol(
+    mode: str,
     dataset: Dataset,
     vae_config: TrainConfig,
     attack_config: AttackConfig,
-    with_class_term: bool,
-) -> tuple[VaeParams, ClassifierParams, Perturbation]:
-    """Train the attack classifier, then ``_train`` a VAE step and a perturbation step.
+) -> tuple[VaeParams, ClassifierParams | None, Perturbation]:
+    """Train the attack classifier, the VAE and the perturbation as ``mode`` says.
 
-    Both steps run on the VAE's seed and batches, each for its own epochs;
-    the perturbation step encodes the batch with the VAE as its step left
-    it. VAE steps never read the perturbation, so a plain poisoning run
-    reproduces :func:`models.train_vae` for the same config exactly.
-    ``with_class_term`` adds the classifier's reconstruction term.
+    The attack classifier comes first, on its role's sub-seed of
+    ``vae_config.seed``. ``independent`` then trains the VAE alone and
+    attacks it frozen. The poisoning modes ``_train`` a VAE step and a
+    perturbation step together on the VAE's seed and batches, each for its
+    own epochs; the perturbation step encodes the batch with the VAE as
+    its step left it. VAE steps never read the perturbation, so a plain
+    poisoning run reproduces :func:`models.train_vae` for the same config
+    exactly. ``poisoning+class`` adds the classifier's reconstruction term,
+    weighted by ``vae_config.recon_class_weight``, which must be positive
+    there; the other modes ignore that weight.
+
+    Returns ``(vae, attack_classifier, perturbation)``, the classifier
+    ``None`` for ``poisoning``, whose VAE never sees it. The
+    perturbation's provenance is ``mode``.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    with_class_term = mode == "poisoning+class"
+    if with_class_term and vae_config.recon_class_weight <= 0:
+        raise ValueError(
+            f"poisoning+class requires recon_class_weight > 0, "
+            f"got {vae_config.recon_class_weight}"
+        )
     classifier = train_classifier(dataset, _classifier_config(vae_config, "attack"), "attack")
+    if mode == "independent":
+        vae = train_vae(dataset, vae_config)
+        return vae, classifier, learn_attack_independent(vae, classifier, dataset, attack_config)
     vae, vae_step = _vae_step(dataset, vae_config, classifier if with_class_term else None)
     deltas, attack_step = _attack_step(
         vae, classifier, dataset.labels, attack_config,
         lambda idx: encode(dataset.images[idx], vae)[0].data,
     )
     _train(len(dataset), vae_config.batch_size, vae_config.seed, [vae_step, attack_step])
-    provenance = "poisoning+class" if with_class_term else "poisoning"
-    return vae, classifier, _finish(*deltas, attack_config, provenance)
-
-
-def learn_attack_poisoning(
-    dataset: Dataset,
-    vae_config: TrainConfig,
-    attack_config: AttackConfig,
-) -> tuple[VaeParams, Perturbation]:
-    """Learn the perturbation while the VAE itself is being trained.
-
-    The attack tracks a moving target: each perturbation step sees the
-    VAE as it currently stands, so the final vector is adapted to the
-    finished model without ever influencing it.
-    """
-    vae, _, perturbation = _run_poisoning(dataset, vae_config, attack_config, with_class_term=False)
-    return vae, perturbation
-
-
-def learn_attack_poisoning_class(
-    dataset: Dataset,
-    vae_config: TrainConfig,
-    attack_config: AttackConfig,
-) -> tuple[VaeParams, ClassifierParams, Perturbation]:
-    """Poisoning with a discriminative VAE.
-
-    The VAE objective gains a term scoring reconstructions with the frozen
-    attack classifier against the true labels, weighted by
-    ``vae_config.recon_class_weight`` (which must be positive here; use
-    :func:`learn_attack_poisoning` for a plain run).
-    """
-    if vae_config.recon_class_weight <= 0:
-        raise ValueError(
-            "poisoning+class requires recon_class_weight > 0; "
-            "use learn_attack_poisoning for a plain poisoning run"
-        )
-    return _run_poisoning(dataset, vae_config, attack_config, with_class_term=True)
+    return vae, classifier if with_class_term else None, _finish(*deltas, attack_config, mode)

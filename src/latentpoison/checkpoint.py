@@ -140,11 +140,18 @@ def _split_payload(payload: bytes, shapes: list[tuple[int, ...]], path) -> list[
 
 
 def _field(desc: dict, name: str, kind, path):
-    """A descriptor field, checked for presence and type; lists hold layer widths."""
+    """A descriptor field, checked for presence and type; lists hold layer widths.
+
+    JSON ``true`` and ``false`` are not numbers here, though Python's bool is an int.
+    """
     if name not in desc:
         raise CheckpointError(f"{path}: descriptor lacks field {name!r}")
     value = desc[name]
-    if not isinstance(value, kind) or (kind is list and not all(isinstance(v, int) for v in value)):
+    if (
+        not isinstance(value, kind)
+        or (isinstance(value, bool) and kind is not bool)
+        or (kind is list and not all(isinstance(v, int) for v in value))
+    ):
         raise CheckpointError(f"{path}: descriptor field {name!r} has the wrong type: {value!r}")
     return value
 
@@ -175,14 +182,16 @@ def _rebuild_perturbation(desc: dict, payload: bytes, path) -> Perturbation:
     latent_dim = _field(desc, "latent_dim", int, path)
     per_direction = _field(desc, "per_direction", bool, path)
     arrays = _split_payload(payload, [(latent_dim,)] * (2 if per_direction else 1), path)
-    return Perturbation(
-        delta=arrays[0],
-        norm_order=_field(desc, "norm_order", int, path),
-        family=_field(desc, "family", str, path),
-        reg_weight=_field(desc, "reg_weight", (int, float), path),
-        provenance=_field(desc, "provenance", str, path),
-        delta_reverse=arrays[1] if per_direction else None,
-    )
+    fields = {
+        "norm_order": _field(desc, "norm_order", int, path),
+        "family": _field(desc, "family", str, path),
+        "reg_weight": _field(desc, "reg_weight", (int, float), path),
+        "provenance": _field(desc, "provenance", str, path),
+    }
+    try:
+        return Perturbation(arrays[0], **fields, delta_reverse=arrays[1] if per_direction else None)
+    except ValueError as exc:  # a field rule of Perturbation; the message names the field
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def load_checkpoint(path, expect_kind: str | None = None):

@@ -16,12 +16,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .attack import (
-    AttackConfig,
-    learn_attack_independent,
-    learn_attack_poisoning,
-    learn_attack_poisoning_class,
-)
+from .attack import MODES, AttackConfig, learn_attack_independent, learn_attack_protocol
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, apply_config, load_config_file
 from .data import generate_synthetic, load_idx, save_idx, split
@@ -32,6 +27,15 @@ from .reporting import render_grid, write_delta, write_report
 
 REG_WEIGHT_SWEEP = (0.001, 0.01, 0.1, 1.0)
 GRID_FIXED = ("mode", "family", "norm_order", "out_dir")  # run-grid sets these per plan
+# learn-attack's VAE flags by TrainConfig field; each lands in args.vae_<field>
+VAE_FLAGS = {
+    "epochs": "--vae-epochs",
+    "lr": "--vae-lr",
+    "seed": "--vae-seed",
+    "kl_weight": "--kl-weight",
+    "recon_class_weight": "--recon-class-weight",
+    "latent_dim": "--latent-dim",
+}
 
 
 def _flag_name(field_name: str) -> str:
@@ -140,11 +144,12 @@ def cmd_train_classifier(args) -> int:
     return 0
 
 
-def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig]:
+def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig, dict[str, str]]:
     """Merge learn-attack settings; ``vae_``-prefixed keys and flags configure the VAE.
 
     The VAE trains on the attack's batches, so its batch size follows the
-    attack's and a file may not set ``vae_batch_size``.
+    attack's and a file may not set ``vae_batch_size``. The third value
+    names, per VAE field set by a flag or a file key, that flag or key.
     """
     file_values = load_config_file(args.config) if args.config else {}
     vae_keys = [k for k in file_values if k.startswith("vae_")]
@@ -155,41 +160,45 @@ def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig]:
         TrainConfig(), args, {k[len("vae_") :]: file_values[k] for k in vae_keys},
         skip=("batch_size",), prefix="vae_",
     )
-    return attack_cfg, dataclasses.replace(vae_cfg, batch_size=attack_cfg.batch_size)
+    given = {k[len("vae_") :]: k for k in vae_keys}
+    given |= {f: flag for f, flag in VAE_FLAGS.items() if getattr(args, f"vae_{f}") is not None}
+    return attack_cfg, dataclasses.replace(vae_cfg, batch_size=attack_cfg.batch_size), given
 
 
 def cmd_learn_attack(args) -> int:
-    attack_cfg, vae_cfg = _learn_attack_configs(args)
-    dataset = _load_dataset(args)
-    out = Path(args.out_dir)
+    attack_cfg, vae_cfg, vae_given = _learn_attack_configs(args)
+    unused = []
     if args.mode == "independent":
         if not args.vae or not args.classifier:
             raise ConfigError("independent mode requires --vae and --classifier")
+        unused = list(vae_given.values())  # the VAE comes trained from --vae
+    elif args.mode == "poisoning" and "recon_class_weight" in vae_given:
+        unused = [vae_given["recon_class_weight"]]  # only poisoning+class has that term
+    if unused:
+        raise ConfigError(f"{args.mode} mode does not use {', '.join(unused)}")
+    dataset = _load_dataset(args)
+    if args.mode == "independent":
         vae, _ = load_checkpoint(args.vae, expect_kind="vae")
         classifier, _ = load_checkpoint(args.classifier, expect_kind="classifier")
+    out = Path(args.out_dir)
     weights = REG_WEIGHT_SWEEP if args.sweep else (attack_cfg.reg_weight,)
     for reg_weight in weights:
         cfg = dataclasses.replace(attack_cfg, reg_weight=reg_weight)
         _echo("learn-attack", cfg)
         suffix = f"_reg_{reg_weight}" if args.sweep else ""
         echo = dataclasses.asdict(cfg) | {"mode": args.mode}
-        artifacts = {}
         if args.mode == "independent":
-            perturbation = learn_attack_independent(vae, classifier, dataset, cfg)
+            artifacts = {"perturbation": learn_attack_independent(vae, classifier, dataset, cfg)}
         else:
             _echo("learn-attack.vae", vae_cfg)
             echo |= {f"vae_{k}": v for k, v in dataclasses.asdict(vae_cfg).items()}
-            if args.mode == "poisoning":
-                vae, perturbation = learn_attack_poisoning(dataset, vae_cfg, cfg)
-            else:
-                vae, clf, perturbation = learn_attack_poisoning_class(dataset, vae_cfg, cfg)
-                artifacts["attack_classifier"] = clf
-            artifacts["vae"] = vae
-        artifacts["perturbation"] = perturbation
+            trained_vae, clf, perturbation = learn_attack_protocol(args.mode, dataset, vae_cfg, cfg)
+            artifacts = {"attack_classifier": clf, "vae": trained_vae, "perturbation": perturbation}
         # made only once the attack has accepted its inputs, so a rejected run leaves none
         out.mkdir(parents=True, exist_ok=True)
         for name, params in artifacts.items():
-            save_checkpoint(params, out / f"{name}{suffix}.ckpt", config=echo)
+            if params is not None:
+                save_checkpoint(params, out / f"{name}{suffix}.ckpt", config=echo)
         print(f"wrote {out / f'perturbation{suffix}.ckpt'}")
     return 0
 
@@ -300,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_classifier)
 
     p = sub.add_parser("learn-attack", help="learn the constant latent perturbation")
-    p.add_argument("--mode", choices=("independent", "poisoning", "poisoning+class"),
-                   required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--images", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out-dir", required=True)
@@ -310,14 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", help="classifier checkpoint (independent mode)")
     p.add_argument("--sweep", action="store_true",
                    help=f"repeat for reg weights {REG_WEIGHT_SWEEP}")
-    # VAE flags for the poisoning modes; all land in args.vae_<TrainConfig field>
-    p.add_argument("--vae-epochs", type=int, default=None, help="poisoning modes")
-    p.add_argument("--vae-lr", type=float, default=None, help="poisoning modes")
-    p.add_argument("--vae-seed", type=int, default=None, help="poisoning modes")
-    p.add_argument("--kl-weight", dest="vae_kl_weight", type=float, default=None)
-    p.add_argument("--recon-class-weight", dest="vae_recon_class_weight", type=float,
-                   default=None)
-    p.add_argument("--latent-dim", dest="vae_latent_dim", type=int, default=None)
+    for field, flag in VAE_FLAGS.items():
+        default = getattr(TrainConfig(), field)
+        p.add_argument(flag, dest=f"vae_{field}", type=type(default), default=None,
+                       help=f"VAE {field}, poisoning modes; default {default}")
     _add_dataclass_flags(p, AttackConfig())
     p.set_defaults(func=cmd_learn_attack)
 

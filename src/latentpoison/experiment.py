@@ -15,14 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import (
-    AttackConfig,
-    Perturbation,
-    apply_perturbation,
-    learn_attack_independent,
-    learn_attack_poisoning,
-    learn_attack_poisoning_class,
-)
+from .attack import MODES, AttackConfig, Perturbation, apply_perturbation, learn_attack_protocol
 from .data import Dataset, generate_synthetic, split
 from .evaluation import AttackReport, evaluate_attack, pixel_diff
 from .models import (
@@ -33,13 +26,11 @@ from .models import (
     decode,
     encode_mean,
     train_classifier,
-    train_vae,
 )
 from .checkpoint import save_checkpoint
 from .reporting import render_grid, write_delta, write_report
 from .seeds import ATTACK, derive_seed
 
-MODES = ("independent", "poisoning", "poisoning+class")
 GRID_IMAGES = 16
 GRID_COLUMNS = 4
 
@@ -87,7 +78,7 @@ class ExperimentPlan:
         return TrainConfig(
             epochs=self.vae_epochs,
             kl_weight=self.kl_weight,
-            recon_class_weight=self.recon_class_weight if self.mode == "poisoning+class" else 0.0,
+            recon_class_weight=self.recon_class_weight,
             lr=self.lr,
             batch_size=self.batch_size,
             latent_dim=self.latent_dim,
@@ -119,32 +110,6 @@ def _stage(name: str):
 def make_dataset(plan: ExperimentPlan) -> tuple[Dataset, Dataset]:
     full = generate_synthetic(plan.sample_count, plan.width, plan.height, plan.data_seed)
     return split(full, plan.test_count, plan.data_seed)
-
-
-def train_artifacts(
-    plan: ExperimentPlan, train_set: Dataset
-) -> tuple[VaeParams, ClassifierParams | None, Perturbation]:
-    """Train whatever the plan's attack mode calls for."""
-    vae_config = plan.vae_config()
-    attack_config = plan.attack_config()
-    if plan.mode == "independent":
-        vae = _stage("train-vae")(train_vae, train_set, vae_config)
-        attack_classifier = _stage("train-attack-classifier")(
-            train_classifier, train_set, _classifier_config(vae_config, "attack"), "attack"
-        )
-        perturbation = _stage("learn-attack")(
-            learn_attack_independent, vae, attack_classifier, train_set, attack_config
-        )
-        return vae, attack_classifier, perturbation
-    if plan.mode == "poisoning":
-        vae, perturbation = _stage("learn-attack")(
-            learn_attack_poisoning, train_set, vae_config, attack_config
-        )
-        return vae, None, perturbation
-    vae, attack_classifier, perturbation = _stage("learn-attack")(
-        learn_attack_poisoning_class, train_set, vae_config, attack_config
-    )
-    return vae, attack_classifier, perturbation
 
 
 def _grid_images(pixels: np.ndarray, width: int, height: int) -> list[np.ndarray]:
@@ -189,7 +154,9 @@ def run_experiment(plan: ExperimentPlan) -> AttackReport:
     eval_classifier = _stage("train-eval-classifier")(
         train_classifier, train_set, _classifier_config(plan.vae_config(), "eval"), "eval"
     )
-    vae, attack_classifier, perturbation = train_artifacts(plan, train_set)
+    vae, attack_classifier, perturbation = _stage("learn-attack")(
+        learn_attack_protocol, plan.mode, train_set, plan.vae_config(), plan.attack_config()
+    )
     report = _stage("evaluate")(
         evaluate_attack,
         vae,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from latentpoison import attack
 from latentpoison import autodiff as ad
 from latentpoison.attack import (
     AttackConfig,
@@ -18,8 +19,7 @@ from latentpoison.attack import (
     apply_perturbation,
     attack_loss,
     learn_attack_independent,
-    learn_attack_poisoning,
-    learn_attack_poisoning_class,
+    learn_attack_protocol,
 )
 from latentpoison.autodiff import ShapeMismatchError, Tensor
 from latentpoison.models import (
@@ -328,7 +328,7 @@ class TestPoisoningAttacks:
     def test_zero_attack_epochs_decouples(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=2)
         attack_config = AttackConfig(epochs=0, seed=2)
-        vae, pert = learn_attack_poisoning(tiny_data, vae_config, attack_config)
+        vae, _, pert = learn_attack_protocol("poisoning", tiny_data, vae_config, attack_config)
         np.testing.assert_array_equal(pert.delta, 0.0)
         untrained = train_vae(tiny_data, dataclasses.replace(vae_config, epochs=0))
         changed = any(
@@ -345,7 +345,7 @@ class TestPoisoningAttacks:
         # also in epochs where only one of the two steps is still live
         vae_config = dataclasses.replace(tiny_config, epochs=vae_epochs)
         attack_config = AttackConfig(epochs=attack_epochs, seed=0)
-        joint_vae, _ = learn_attack_poisoning(tiny_data, vae_config, attack_config)
+        joint_vae, _, _ = learn_attack_protocol("poisoning", tiny_data, vae_config, attack_config)
         plain_vae = train_vae(tiny_data, vae_config)
         for a, b in zip(joint_vae.parameters(), plain_vae.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
@@ -376,15 +376,15 @@ class TestPoisoningAttacks:
                     loss = _attack_batch_loss(vae, classifier, codes, y, delta, reverse, config)
                     ad.backward(loss, [delta, reverse])
                     optimizer.step()
-        _, pert = learn_attack_poisoning(tiny_data, vae_config, config)
+        _, _, pert = learn_attack_protocol("poisoning", tiny_data, vae_config, config)
         assert pert.delta.tobytes() == delta.data.tobytes()
         assert pert.delta_reverse.tobytes() == reverse.data.tobytes()
 
     def test_same_seed_reproducible(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=2)
         attack_config = AttackConfig(epochs=2, seed=4)
-        vae_a, pert_a = learn_attack_poisoning(tiny_data, vae_config, attack_config)
-        vae_b, pert_b = learn_attack_poisoning(tiny_data, vae_config, attack_config)
+        vae_a, _, pert_a = learn_attack_protocol("poisoning", tiny_data, vae_config, attack_config)
+        vae_b, _, pert_b = learn_attack_protocol("poisoning", tiny_data, vae_config, attack_config)
         np.testing.assert_array_equal(pert_a.delta, pert_b.delta)
         for a, b in zip(vae_a.parameters(), vae_b.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
@@ -392,31 +392,66 @@ class TestPoisoningAttacks:
     def test_provenance_tags(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=1, recon_class_weight=1.0)
         attack_config = AttackConfig(epochs=1, seed=6)
-        _, pert = learn_attack_poisoning(tiny_data, tiny_config, attack_config)
+        _, classifier, pert = learn_attack_protocol(
+            "poisoning", tiny_data, tiny_config, attack_config
+        )
         assert pert.provenance == "poisoning"
-        _, _, pert = learn_attack_poisoning_class(tiny_data, vae_config, attack_config)
+        assert classifier is None  # its VAE never sees one
+        _, _, pert = learn_attack_protocol("poisoning+class", tiny_data, vae_config, attack_config)
         assert pert.provenance == "poisoning+class"
 
     def test_returned_networks_hold_no_gradients(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=1, recon_class_weight=1.0)
-        vae, classifier, _ = learn_attack_poisoning_class(
-            tiny_data, vae_config, AttackConfig(epochs=1, seed=6)
+        vae, classifier, _ = learn_attack_protocol(
+            "poisoning+class", tiny_data, vae_config, AttackConfig(epochs=1, seed=6)
         )
         assert all(p.grad is None for p in vae.parameters() + classifier.parameters())
 
-    def test_class_mode_requires_positive_weight(self, tiny_data, tiny_config):
-        with pytest.raises(ValueError, match="learn_attack_poisoning"):
-            learn_attack_poisoning_class(tiny_data, tiny_config, AttackConfig(epochs=1))
+    def test_class_mode_requires_positive_weight(self, tiny_data, tiny_config, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the weight check must come before any training")
+
+        monkeypatch.setattr(attack, "train_classifier", no_training)
+        with pytest.raises(ValueError, match=r"requires recon_class_weight > 0, got 0\.0"):
+            learn_attack_protocol(
+                "poisoning+class", tiny_data, tiny_config, AttackConfig(epochs=1)
+            )
 
     def test_class_mode_changes_vae(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=2, recon_class_weight=1.0)
         attack_config = AttackConfig(epochs=1, seed=8)
-        plain, _ = learn_attack_poisoning(tiny_data, vae_config, attack_config)
-        boosted, _, _ = learn_attack_poisoning_class(tiny_data, vae_config, attack_config)
+        plain, _, _ = learn_attack_protocol("poisoning", tiny_data, vae_config, attack_config)
+        boosted, _, _ = learn_attack_protocol(
+            "poisoning+class", tiny_data, vae_config, attack_config
+        )
         assert any(
             not np.array_equal(a.data, b.data)
             for a, b in zip(plain.parameters(), boosted.parameters())
         )
+
+
+class TestLearnAttackProtocol:
+    def test_unknown_mode_rejected(self, tiny_data, tiny_config):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            learn_attack_protocol("backdoor", tiny_data, tiny_config, AttackConfig(epochs=1))
+
+    def test_independent_is_its_three_stages(self, tiny_data, tiny_config):
+        vae_config = dataclasses.replace(tiny_config, epochs=2)
+        attack_config = AttackConfig(epochs=2, seed=5, per_direction=True)
+        vae, classifier, pert = learn_attack_protocol(
+            "independent", tiny_data, vae_config, attack_config
+        )
+        plain_vae = train_vae(tiny_data, vae_config)
+        plain_classifier = train_classifier(
+            tiny_data, _classifier_config(vae_config, "attack"), "attack"
+        )
+        plain_pert = learn_attack_independent(plain_vae, plain_classifier, tiny_data, attack_config)
+        for a, b in zip(vae.parameters() + classifier.parameters(),
+                        plain_vae.parameters() + plain_classifier.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert pert.delta.tobytes() == plain_pert.delta.tobytes()
+        assert pert.delta_reverse.tobytes() == plain_pert.delta_reverse.tobytes()
+        assert pert.provenance == "independent"
 
 
 def test_multiplicative_all_nonnegative_warns(tiny_vae, tiny_classifiers, tiny_data):

@@ -151,6 +151,21 @@ class TestMalformedDescriptor:
         with pytest.raises(CheckpointError, match=f"'{field}'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("family", "x"),
+        ("norm_order", 3),
+        ("norm_order", True),
+        ("reg_weight", -1),
+        ("reg_weight", True),
+        ("provenance", "backdoor"),
+    ])
+    def test_rejected_perturbation_field(self, tmp_path, perturbation, field, value):
+        path = tmp_path / "dz.ckpt"
+        save_checkpoint(perturbation, path)
+        _rewrite_descriptor(path, lambda desc: desc.update({field: value}))
+        with pytest.raises(CheckpointError, match=rf"dz\.ckpt.*{field}"):
+            load_checkpoint(path)
+
     def test_layout_disagreeing_with_payload_is_not_truncation(self, tmp_path, classifier):
         path = tmp_path / "clf.ckpt"
         save_checkpoint(classifier, path)

@@ -142,7 +142,7 @@ class TestLearnAttackConfigMerge:
             "learn-attack", "--mode", "poisoning", "--images", "i", "--labels", "l",
             "--out-dir", str(tmp_path), "--config", str(config), *flags,
         ])
-        return _learn_attack_configs(args)
+        return _learn_attack_configs(args)[:2]
 
     def test_prefixed_file_keys_reach_the_vae(self, tmp_path):
         attack, vae = self._configs(tmp_path, "vae_kl_weight = 0.25\nvae_epochs = 3\nepochs = 5\n")
@@ -206,6 +206,28 @@ class TestAttackAndEvaluate:
         ])
         assert code == 2
         assert "requires --vae and --classifier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, settings, flags, named", [
+        ("independent", "", ["--vae-epochs", "50", "--kl-weight", "9"],
+         "--vae-epochs, --kl-weight"),
+        ("independent", "vae_epochs = 50\n", [], "vae_epochs"),
+        ("poisoning", "", ["--recon-class-weight", "3.0"], "--recon-class-weight"),
+        ("poisoning", "vae_recon_class_weight = 3.0\n", [], "vae_recon_class_weight"),
+    ], ids=["independent-flags", "independent-file", "poisoning-flag", "poisoning-file"])
+    def test_vae_setting_the_mode_ignores_is_an_error(
+        self, tmp_path, capsys, mode, settings, flags, named
+    ):
+        # rejected before anything is loaded: the images and checkpoints do not exist
+        config = tmp_path / "attack.cfg"
+        config.write_text(settings)
+        code = main([
+            "learn-attack", "--mode", mode, "--images", "no.idx", "--labels", "no.idx",
+            "--vae", "no.ckpt", "--classifier", "no.ckpt",
+            "--out-dir", str(tmp_path / "out"), "--config", str(config), *flags,
+        ])
+        assert code == 2
+        assert f"{mode} mode does not use {named}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_checkpoint_leaves_no_out_dir(self, data_dir, artifacts, tmp_path, capsys):
         code = main([

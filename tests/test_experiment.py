@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from latentpoison.attack import learn_attack_protocol
 from latentpoison.checkpoint import load_checkpoint
 from latentpoison.experiment import (
     MODES,
     ExperimentError,
     ExperimentPlan,
     grid_plans,
+    make_dataset,
     run_experiment,
 )
 from latentpoison.reporting import parse_report
@@ -49,11 +51,17 @@ class TestPlan:
         assert len(plans) == 12
         assert sum(p.family == "multiplicative" for p in plans) == 6
 
-    def test_class_weight_only_reaches_class_mode(self, tmp_path):
-        plain = _tiny_plan(tmp_path, mode="poisoning")
-        assert plain.vae_config().recon_class_weight == 0.0
-        boosted = _tiny_plan(tmp_path, mode="poisoning+class")
-        assert boosted.vae_config().recon_class_weight == 1.0
+    @pytest.mark.parametrize("mode", ["independent", "poisoning"])
+    def test_class_weight_changes_nothing_outside_class_mode(self, tmp_path, mode):
+        outputs = []
+        for weight in (0.0, 1.0):
+            plan = _tiny_plan(tmp_path, mode=mode, recon_class_weight=weight)
+            train_set, _ = make_dataset(plan)
+            vae, _, pert = learn_attack_protocol(
+                mode, train_set, plan.vae_config(), plan.attack_config()
+            )
+            outputs.append([p.data.tobytes() for p in vae.parameters()] + [pert.delta.tobytes()])
+        assert outputs[0] == outputs[1]
 
 
 class TestRunExperiment:
