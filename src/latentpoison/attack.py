@@ -40,7 +40,8 @@ from .models import (
     _vae_step,
     classify,
     decode,
-    encode,
+    encode,  # not used here: perfbench's tracer test rebinds attack.encode
+    encode_mean,
     train_classifier,
     train_vae,
 )
@@ -218,8 +219,7 @@ def _latent_means(vae: VaeParams, images: np.ndarray, chunk: int) -> np.ndarray:
     Chunking bounds peak memory at one batch's activations.
     """
     return np.concatenate([
-        encode(images[start : start + chunk], vae)[0].data
-        for start in range(0, len(images), chunk)
+        encode_mean(images[start : start + chunk], vae) for start in range(0, len(images), chunk)
     ])
 
 
@@ -298,24 +298,26 @@ def learn_attack_protocol(
     mode: str,
     dataset: Dataset,
     vae_config: TrainConfig,
-    attack_config: AttackConfig,
-) -> tuple[VaeParams, ClassifierParams | None, Perturbation]:
-    """Train the attack classifier, the VAE and the perturbation as ``mode`` says.
+    *attack_configs: AttackConfig,
+) -> tuple:
+    """Train the attack classifier, the VAE and one perturbation per config as ``mode`` says.
 
-    The attack classifier comes first, on its role's sub-seed of
+    The attack classifier comes first, once, on its role's sub-seed of
     ``vae_config.seed``. ``independent`` then trains the VAE alone and
-    attacks it frozen. The poisoning modes ``_train`` a VAE step and a
-    perturbation step together on the VAE's seed and batches, each for its
-    own epochs; the perturbation step encodes the batch with the VAE as
-    its step left it. VAE steps never read the perturbation, so a plain
-    poisoning run reproduces :func:`models.train_vae` for the same config
-    exactly. ``poisoning+class`` adds the classifier's reconstruction term,
-    weighted by ``vae_config.recon_class_weight``, which must be positive
-    there; the other modes ignore that weight.
+    attacks it frozen once per config. The poisoning modes ``_train`` the
+    VAE step and one perturbation step per config together on the VAE's
+    seed and batches, each for its own epochs; every perturbation step
+    encodes the batch with the VAE as its step left it. VAE steps never
+    read a perturbation, so several configs share one VAE trajectory, each
+    perturbation is the one its config learns alone, and a plain poisoning
+    run reproduces :func:`models.train_vae` for the same config exactly.
+    ``poisoning+class`` adds the classifier's reconstruction term, weighted
+    by ``vae_config.recon_class_weight``, which must be positive there; the
+    other modes ignore that weight.
 
-    Returns ``(vae, attack_classifier, perturbation)``, the classifier
-    ``None`` for ``poisoning``, whose VAE never sees it. The
-    perturbation's provenance is ``mode``.
+    Returns ``(vae, attack_classifier, *perturbations)`` in config order,
+    the classifier ``None`` for ``poisoning``, whose VAE never sees it.
+    Each perturbation's provenance is ``mode``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -328,11 +330,17 @@ def learn_attack_protocol(
     classifier = train_classifier(dataset, _classifier_config(vae_config, "attack"), "attack")
     if mode == "independent":
         vae = train_vae(dataset, vae_config)
-        return vae, classifier, learn_attack_independent(vae, classifier, dataset, attack_config)
+        return vae, classifier, *(
+            learn_attack_independent(vae, classifier, dataset, config) for config in attack_configs
+        )
     vae, vae_step = _vae_step(dataset, vae_config, classifier if with_class_term else None)
-    deltas, attack_step = _attack_step(
-        vae, classifier, dataset.labels, attack_config,
-        lambda idx: encode(dataset.images[idx], vae)[0].data,
+    attacks = [
+        _attack_step(vae, classifier, dataset.labels, config,
+                     lambda idx: encode_mean(dataset.images[idx], vae))
+        for config in attack_configs
+    ]
+    _train(len(dataset), vae_config.batch_size, vae_config.seed,
+           [vae_step, *(step for _, step in attacks)])
+    return vae, classifier if with_class_term else None, *(
+        _finish(*deltas, config, mode) for (deltas, _), config in zip(attacks, attack_configs)
     )
-    _train(len(dataset), vae_config.batch_size, vae_config.seed, [vae_step, attack_step])
-    return vae, classifier if with_class_term else None, _finish(*deltas, attack_config, mode)

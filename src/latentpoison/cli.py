@@ -167,38 +167,42 @@ def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig, dict[str, st
 
 def cmd_learn_attack(args) -> int:
     attack_cfg, vae_cfg, vae_given = _learn_attack_configs(args)
-    unused = []
     if args.mode == "independent":
         if not args.vae or not args.classifier:
             raise ConfigError("independent mode requires --vae and --classifier")
         unused = list(vae_given.values())  # the VAE comes trained from --vae
-    elif args.mode == "poisoning" and "recon_class_weight" in vae_given:
-        unused = [vae_given["recon_class_weight"]]  # only poisoning+class has that term
+    else:  # the poisoning modes train their own VAE and classifier
+        unused = [flag for flag, path in (("--vae", args.vae), ("--classifier", args.classifier))
+                  if path]
+        if args.mode == "poisoning" and "recon_class_weight" in vae_given:
+            unused.append(vae_given["recon_class_weight"])  # only poisoning+class has that term
     if unused:
         raise ConfigError(f"{args.mode} mode does not use {', '.join(unused)}")
     dataset = _load_dataset(args)
+    weights = REG_WEIGHT_SWEEP if args.sweep else (attack_cfg.reg_weight,)
+    configs = [dataclasses.replace(attack_cfg, reg_weight=weight) for weight in weights]
+    echo = {"mode": args.mode}
     if args.mode == "independent":
         vae, _ = load_checkpoint(args.vae, expect_kind="vae")
         classifier, _ = load_checkpoint(args.classifier, expect_kind="classifier")
+        networks = {}
+        perturbations = [learn_attack_independent(vae, classifier, dataset, cfg) for cfg in configs]
+    else:
+        _echo("learn-attack.vae", vae_cfg)
+        echo |= {f"vae_{k}": v for k, v in dataclasses.asdict(vae_cfg).items()}
+        vae, clf, *perturbations = learn_attack_protocol(args.mode, dataset, vae_cfg, *configs)
+        networks = {"attack_classifier": clf, "vae": vae}
+    # made only once the attack has accepted its inputs, so a rejected run leaves none
     out = Path(args.out_dir)
-    weights = REG_WEIGHT_SWEEP if args.sweep else (attack_cfg.reg_weight,)
-    for reg_weight in weights:
-        cfg = dataclasses.replace(attack_cfg, reg_weight=reg_weight)
+    out.mkdir(parents=True, exist_ok=True)
+    for cfg, perturbation in zip(configs, perturbations):
         _echo("learn-attack", cfg)
-        suffix = f"_reg_{reg_weight}" if args.sweep else ""
-        echo = dataclasses.asdict(cfg) | {"mode": args.mode}
-        if args.mode == "independent":
-            artifacts = {"perturbation": learn_attack_independent(vae, classifier, dataset, cfg)}
-        else:
-            _echo("learn-attack.vae", vae_cfg)
-            echo |= {f"vae_{k}": v for k, v in dataclasses.asdict(vae_cfg).items()}
-            trained_vae, clf, perturbation = learn_attack_protocol(args.mode, dataset, vae_cfg, cfg)
-            artifacts = {"attack_classifier": clf, "vae": trained_vae, "perturbation": perturbation}
-        # made only once the attack has accepted its inputs, so a rejected run leaves none
-        out.mkdir(parents=True, exist_ok=True)
+        suffix = f"_reg_{cfg.reg_weight}" if args.sweep else ""
+        artifacts = networks | {"perturbation": perturbation}
         for name, params in artifacts.items():
             if params is not None:
-                save_checkpoint(params, out / f"{name}{suffix}.ckpt", config=echo)
+                save_checkpoint(params, out / f"{name}{suffix}.ckpt",
+                                config=dataclasses.asdict(cfg) | echo)
         print(f"wrote {out / f'perturbation{suffix}.ckpt'}")
     return 0
 
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vae", help="VAE checkpoint (independent mode)")
     p.add_argument("--classifier", help="classifier checkpoint (independent mode)")
     p.add_argument("--sweep", action="store_true",
-                   help=f"repeat for reg weights {REG_WEIGHT_SWEEP}")
+                   help=f"one perturbation per reg weight in {REG_WEIGHT_SWEEP}")
     for field, flag in VAE_FLAGS.items():
         default = getattr(TrainConfig(), field)
         p.add_argument(flag, dest=f"vae_{field}", type=type(default), default=None,

@@ -72,6 +72,21 @@ def _scores(x: np.ndarray, classifier: ClassifierParams) -> np.ndarray:
     return classify(x, classifier).data[:, 0]
 
 
+def decoded_view(vae: VaeParams, perturbation: Perturbation, test_set: Dataset,
+                 direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The test images ``direction`` tampers with, their reconstructions and attacked decodes.
+
+    The source class is 0 for "0to1" and 1 for "1to0". Its images are
+    encoded once; the latent means are decoded as they are and tampered.
+    """
+    source_label = 0 if direction == "0to1" else 1
+    x = test_set.images[test_set.class_indices(source_label)]
+    if len(x) == 0:
+        raise ValueError(f"test set must contain both classes, has no class-{source_label} samples")
+    z = encode_mean(x, vae)
+    return x, decode(z, vae).data, decode(apply_perturbation(z, perturbation, direction), vae).data
+
+
 def confidence_table(
     vae: VaeParams,
     perturbation: Perturbation,
@@ -86,22 +101,15 @@ def confidence_table(
     perfect attack matches the reconstruction rows exactly.
     """
     _require_role(classifier, "eval", "confidence tables")
-    x0 = test_set.images[test_set.class_indices(0)]
-    x1 = test_set.images[test_set.class_indices(1)]
-    if len(x0) == 0 or len(x1) == 0:
-        raise ValueError("test set must contain both classes")
-    z0, z1 = encode_mean(x0, vae), encode_mean(x1, vae)
+    x0, recon0, attacked0 = decoded_view(vae, perturbation, test_set, "0to1")
+    x1, recon1, attacked1 = decoded_view(vae, perturbation, test_set, "1to0")
     groups = {
         "original_class1": confidence(_scores(x1, classifier), 1),
-        "reconstruction_class1": confidence(_scores(decode(z1, vae).data, classifier), 1),
-        "attacked_0to1": confidence(
-            _scores(decode(apply_perturbation(z0, perturbation, "0to1"), vae).data, classifier), 1
-        ),
+        "reconstruction_class1": confidence(_scores(recon1, classifier), 1),
+        "attacked_0to1": confidence(_scores(attacked0, classifier), 1),
         "original_class0": confidence(_scores(x0, classifier), 0),
-        "reconstruction_class0": confidence(_scores(decode(z0, vae).data, classifier), 0),
-        "attacked_1to0": confidence(
-            _scores(decode(apply_perturbation(z1, perturbation, "1to0"), vae).data, classifier), 0
-        ),
+        "reconstruction_class0": confidence(_scores(recon0, classifier), 0),
+        "attacked_1to0": confidence(_scores(attacked1, classifier), 0),
     }
     return [
         ConfidenceRow(name, float(values.mean()), float(values.std()))
@@ -163,20 +171,15 @@ def pixel_diff(
     signed differences decode(tampered) - decode(untampered), and the same
     data linearly rescaled to [0, 1] for rendering.
     """
-    source_label = 0 if direction == "0to1" else 1
-    x = test_set.images[test_set.class_indices(source_label)]
-    if len(x) == 0:
-        raise ValueError(f"test set has no class-{source_label} samples")
-    z = encode_mean(x, vae)
-    recon = decode(z, vae).data
-    attacked = decode(apply_perturbation(z, perturbation, direction), vae).data
+    _, recon, attacked = decoded_view(vae, perturbation, test_set, direction)
     raw = attacked - recon
+    return raw, unit_range(raw)
+
+
+def unit_range(raw: np.ndarray) -> np.ndarray:
+    """``raw`` linearly rescaled to [0, 1] for rendering; constant data maps to 0.5."""
     lo, hi = float(raw.min()), float(raw.max())
-    if hi > lo:
-        scaled = (raw - lo) / (hi - lo)
-    else:
-        scaled = np.full_like(raw, 0.5)
-    return raw, scaled
+    return (raw - lo) / (hi - lo) if hi > lo else np.full_like(raw, 0.5)
 
 
 def evaluate_attack(

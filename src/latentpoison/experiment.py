@@ -15,18 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import MODES, AttackConfig, Perturbation, apply_perturbation, learn_attack_protocol
+from .attack import MODES, AttackConfig, Perturbation, learn_attack_protocol
 from .data import Dataset, generate_synthetic, split
-from .evaluation import AttackReport, evaluate_attack, pixel_diff
-from .models import (
-    ClassifierParams,
-    TrainConfig,
-    VaeParams,
-    _classifier_config,
-    decode,
-    encode_mean,
-    train_classifier,
-)
+from .evaluation import AttackReport, decoded_view, evaluate_attack, unit_range
+from .models import ClassifierParams, TrainConfig, VaeParams, _classifier_config, train_classifier
 from .checkpoint import save_checkpoint
 from .reporting import render_grid, write_delta, write_report
 from .seeds import ATTACK, derive_seed
@@ -138,14 +130,11 @@ def write_outputs(
     write_delta(perturbation, out / "delta_elements.csv")
     w, h = plan.width, plan.height
     for label, direction in ((1, "1to0"), (0, "0to1")):
-        x = test_set.images[test_set.class_indices(label)]
-        z = encode_mean(x, vae)
-        recon = decode(z, vae).data
-        attacked = decode(apply_perturbation(z, perturbation, direction), vae).data
+        _, recon, attacked = decoded_view(vae, perturbation, test_set, direction)
         render_grid(_grid_images(recon, w, h), GRID_COLUMNS, out / f"recon_class{label}.pgm")
         render_grid(_grid_images(attacked, w, h), GRID_COLUMNS, out / f"attacked_{direction}.pgm")
-        _, scaled = pixel_diff(vae, perturbation, test_set, direction)
-        render_grid(_grid_images(scaled, w, h), GRID_COLUMNS, out / f"diff_{direction}.pgm")
+        diff = unit_range(attacked - recon)
+        render_grid(_grid_images(diff, w, h), GRID_COLUMNS, out / f"diff_{direction}.pgm")
 
 
 def run_experiment(plan: ExperimentPlan) -> AttackReport:

@@ -210,12 +210,23 @@ def _as_batch(x, expected_dim: int, what: str) -> Tensor:
     return t
 
 
-def encode(x, params: VaeParams) -> tuple[Tensor, Tensor]:
-    """Forward pass to the two latent heads (mean, log variance)."""
+def _encoder_hidden(x, params: VaeParams) -> Tensor:
+    """The encoder's layers, up to where its two heads branch."""
     t = _as_batch(x, params.image_dim, "encode")
     for w, b in params.encoder_layers:
         t = ad.tanh(ad.linear(t, w, b))
+    return t
+
+
+def encode(x, params: VaeParams) -> tuple[Tensor, Tensor]:
+    """Forward pass to the two latent heads (mean, log variance)."""
+    t = _encoder_hidden(x, params)
     return ad.linear(t, *params.mu_head), ad.linear(t, *params.log_var_head)
+
+
+def encode_mean(x, vae: VaeParams) -> np.ndarray:
+    """Deterministic encoding as a plain array: the mean head only, no log variance."""
+    return ad.linear(_encoder_hidden(x, vae), *vae.mu_head).data
 
 
 def sample_latent(mu: Tensor, log_var: Tensor, rng) -> Tensor:
@@ -357,10 +368,3 @@ def train_vae(
     vae, step = _vae_step(dataset, config, recon_classifier)
     _train(len(dataset), config.batch_size, config.seed, [step])
     return vae
-
-
-def encode_mean(x: np.ndarray, vae: VaeParams) -> np.ndarray:
-    """Deterministic encoding: the mean head only, as a plain array."""
-    mu, _ = encode(x, vae)
-    return mu.data
-

@@ -453,6 +453,36 @@ class TestLearnAttackProtocol:
         assert pert.delta_reverse.tobytes() == plain_pert.delta_reverse.tobytes()
         assert pert.provenance == "independent"
 
+    @pytest.mark.parametrize("mode", ["independent", "poisoning", "poisoning+class"])
+    def test_several_configs_equal_separate_runs(self, tiny_data, tiny_config, mode):
+        # one classifier and one VAE trajectory serve every config of a sweep
+        vae_config = dataclasses.replace(tiny_config, epochs=2, recon_class_weight=1.0)
+        configs = [
+            AttackConfig(epochs=2, batch_size=16, seed=3, reg_weight=0.001),
+            AttackConfig(epochs=2, batch_size=16, seed=3, reg_weight=0.1, per_direction=True),
+            AttackConfig(epochs=2, batch_size=16, seed=3, reg_weight=1.0),
+        ]
+        vae, classifier, *perts = learn_attack_protocol(mode, tiny_data, vae_config, *configs)
+        assert len(perts) == len(configs)
+        for config, pert in zip(configs, perts):
+            alone_vae, alone_classifier, alone = learn_attack_protocol(
+                mode, tiny_data, vae_config, config
+            )
+            pairs = [(vae, alone_vae)]
+            if mode == "poisoning":
+                assert classifier is None and alone_classifier is None
+            else:
+                pairs.append((classifier, alone_classifier))
+            for net, alone_net in pairs:
+                for a, b in zip(net.parameters(), alone_net.parameters()):
+                    assert a.data.tobytes() == b.data.tobytes()
+            assert pert.delta.tobytes() == alone.delta.tobytes()
+            if config.per_direction:
+                assert pert.delta_reverse.tobytes() == alone.delta_reverse.tobytes()
+            else:
+                assert pert.delta_reverse is None and alone.delta_reverse is None
+            assert (pert.reg_weight, pert.provenance) == (config.reg_weight, mode)
+
 
 def test_multiplicative_all_nonnegative_warns(tiny_vae, tiny_classifiers, tiny_data):
     attack_clf, _ = tiny_classifiers

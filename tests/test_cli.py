@@ -1,5 +1,6 @@
 import pytest
 
+from latentpoison import attack
 from latentpoison.checkpoint import load_checkpoint
 from latentpoison.cli import _learn_attack_configs, build_parser, main
 from latentpoison.config import ConfigError
@@ -213,17 +214,22 @@ class TestAttackAndEvaluate:
         ("independent", "vae_epochs = 50\n", [], "vae_epochs"),
         ("poisoning", "", ["--recon-class-weight", "3.0"], "--recon-class-weight"),
         ("poisoning", "vae_recon_class_weight = 3.0\n", [], "vae_recon_class_weight"),
-    ], ids=["independent-flags", "independent-file", "poisoning-flag", "poisoning-file"])
+        ("poisoning", "", ["--vae", "no.ckpt"], "--vae"),
+        ("poisoning+class", "", ["--recon-class-weight", "1.0", "--classifier", "no.ckpt"],
+         "--classifier"),
+    ], ids=["independent-flags", "independent-file", "poisoning-flag", "poisoning-file",
+            "poisoning-vae", "poisoning+class-classifier"])
     def test_vae_setting_the_mode_ignores_is_an_error(
         self, tmp_path, capsys, mode, settings, flags, named
     ):
         # rejected before anything is loaded: the images and checkpoints do not exist
         config = tmp_path / "attack.cfg"
         config.write_text(settings)
+        # independent needs both checkpoints; a poisoning case passes only the flag it tests
+        ckpts = ["--vae", "no.ckpt", "--classifier", "no.ckpt"] if mode == "independent" else []
         code = main([
             "learn-attack", "--mode", mode, "--images", "no.idx", "--labels", "no.idx",
-            "--vae", "no.ckpt", "--classifier", "no.ckpt",
-            "--out-dir", str(tmp_path / "out"), "--config", str(config), *flags,
+            *ckpts, "--out-dir", str(tmp_path / "out"), "--config", str(config), *flags,
         ])
         assert code == 2
         assert f"{mode} mode does not use {named}" in capsys.readouterr().err
@@ -267,6 +273,33 @@ class TestAttackAndEvaluate:
         assert (tmp_path / "vae.ckpt").exists()
         pert, _ = load_checkpoint(tmp_path / "perturbation.ckpt")
         assert pert.provenance == "poisoning"
+
+    @pytest.mark.parametrize("mode", ["poisoning", "poisoning+class"])
+    def test_poisoning_sweep_trains_each_network_once(self, data_dir, tmp_path, monkeypatch, mode):
+        calls = {"train_classifier": 0, "_vae_step": 0}
+
+        def counting(name):
+            original = getattr(attack, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(attack, name, counting(name))
+        class_term = ["--recon-class-weight", "1.0"] if mode == "poisoning+class" else []
+        code = main([
+            "learn-attack", "--mode", mode, *_train_args(data_dir, []),
+            "--out-dir", str(tmp_path), "--epochs", "1", "--vae-epochs", "1",
+            "--latent-dim", "4", "--batch-size", "16", *class_term, "--sweep",
+        ])
+        assert code == 0
+        assert calls == {"train_classifier": 1, "_vae_step": 1}
+        for weight in ("0.001", "0.01", "0.1", "1.0"):
+            assert (tmp_path / f"vae_reg_{weight}.ckpt").exists()
+            assert (tmp_path / f"perturbation_reg_{weight}.ckpt").exists()
 
     def test_sweep_writes_one_file_per_weight(self, data_dir, tmp_path, artifacts):
         code = main([

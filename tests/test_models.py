@@ -13,6 +13,7 @@ from latentpoison.models import (
     classify,
     decode,
     encode,
+    encode_mean,
     sample_latent,
     train_classifier,
     train_vae,
@@ -51,6 +52,13 @@ class TestForwardPasses:
         a, _ = encode(x, vae)
         b, _ = encode(x, vae)
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_encode_mean_is_the_mean_head_alone(self):
+        vae = VaeParams.initialize(16, 3, np.random.default_rng(2), hidden=(8,))
+        x = np.random.default_rng(3).uniform(0, 1, (5, 16))
+        mu, _ = encode(x, vae)
+        vae.log_var_head = None  # never read on the way to the mean
+        assert encode_mean(x, vae).tobytes() == mu.data.tobytes()
 
     def test_encode_width_mismatch(self):
         vae = VaeParams.initialize(16, 3, np.random.default_rng(0), hidden=(8,))
