@@ -5,7 +5,6 @@ from .attack import (
     Perturbation,
     apply_additive,
     apply_multiplicative,
-    apply_perturbation,
     attack_loss,
     learn_attack_independent,
     learn_attack_protocol,

@@ -14,10 +14,11 @@ The paper's three protocols are the ``MODES``, and
 
 The perturbation is one vector applied identically to every encoding:
 added for the 0-to-1 direction and subtracted for 1-to-0 (additive
-family), or combined as z * (1 + delta) (multiplicative family, one
-direction only). Optimization minimizes cross-entropy of classifier
-scores on decoded tampered encodings against the flipped labels, plus an
-L1 or L2 penalty on the perturbation.
+family, optionally with a second vector for 1-to-0), or combined as
+z * (1 + delta) (multiplicative family, one form for both directions).
+Optimization minimizes cross-entropy of classifier scores on decoded
+tampered encodings against the flipped labels, plus an L1 or L2
+penalty on each vector.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ class Perturbation:
     provenance: str
     delta_reverse: np.ndarray | None = None
 
+    _VECTOR_NAMES = ("delta", "delta_reverse")  # not a field: no annotation
+
     def __post_init__(self):
         _check_fields(self.norm_order, self.family, self.reg_weight)
         if self.provenance not in MODES:
@@ -107,14 +110,18 @@ class Perturbation:
         self.delta = np.asarray(self.delta, dtype=np.float64)
         if self.delta.ndim != 1:
             raise ValueError(f"delta must be a vector, got shape {self.delta.shape}")
-        if not np.isfinite(self.delta).all():
-            raise ValueError("delta contains non-finite entries")
         if self.delta_reverse is not None:
             self.delta_reverse = np.asarray(self.delta_reverse, dtype=np.float64)
-            if self.delta_reverse.shape != self.delta.shape:
-                raise ValueError("delta_reverse must match delta's shape")
-            if not np.isfinite(self.delta_reverse).all():
-                raise ValueError("delta_reverse contains non-finite entries")
+        for name, vector in zip(self._VECTOR_NAMES, self.vectors):
+            if vector.shape != self.delta.shape:
+                raise ValueError(f"{name} must match delta's shape")
+            if not np.isfinite(vector).all():
+                raise ValueError(f"{name} contains non-finite entries")
+
+    @property
+    def vectors(self) -> tuple[np.ndarray, ...]:
+        """``(delta,)`` or ``(delta, delta_reverse)``: every vector, in payload order."""
+        return (self.delta,) if self.delta_reverse is None else (self.delta, self.delta_reverse)
 
     @property
     def latent_dim(self) -> int:
@@ -152,40 +159,35 @@ def apply_multiplicative(z, delta):
     return z * (delta + 1.0)
 
 
-def apply_perturbation(z, perturbation: Perturbation, direction: str):
-    """Apply a trained perturbation in the requested direction."""
-    if perturbation.family == "multiplicative":
-        return apply_multiplicative(z, perturbation.delta)
-    if direction == "1to0" and perturbation.delta_reverse is not None:
-        return apply_additive(z, perturbation.delta_reverse, "1to0")
-    return apply_additive(z, perturbation.delta, direction)
-
-
 def attack_loss(scores: Tensor, labels, delta, norm_order: int, reg_weight: float) -> Tensor:
     """Cross-entropy toward flipped labels plus the norm penalty on delta."""
     targets = 1.0 - np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     return ad.bce(scores, targets) + reg_weight * ad.lp_penalty(delta, norm_order)
 
 
-def _init_deltas(latent_dim: int, config: AttackConfig) -> tuple[Tensor, Tensor | None]:
+def _init_deltas(latent_dim: int, config: AttackConfig) -> list[Tensor]:
+    """The vectors a config learns, in :attr:`Perturbation.vectors` order."""
     rng = stream(config.seed, ATTACK_INIT)
+    return [
+        Tensor(rng.normal(0.0, 0.01, latent_dim) if config.random_init else np.zeros(latent_dim),
+               name=name)
+        for name in Perturbation._VECTOR_NAMES[: 2 if config.per_direction else 1]
+    ]
 
-    def start(name: str) -> Tensor:
-        values = rng.normal(0.0, 0.01, latent_dim) if config.random_init else np.zeros(latent_dim)
-        return Tensor(values, name=name)
 
-    return start("delta"), start("delta_reverse") if config.per_direction else None
+def _tampered_codes(codes: np.ndarray, labels: np.ndarray, vectors, family: str) -> Tensor:
+    """Each code tampered in its own label's direction, as one graph tensor.
 
-
-def _tampered_codes(codes: np.ndarray, labels: np.ndarray, delta: Tensor,
-                    reverse: Tensor | None, family: str) -> Tensor:
-    """Each code tampered in its own label's direction, as one graph tensor."""
+    The one home of that rule, for training and evaluation alike;
+    ``vectors`` are :attr:`Perturbation.vectors`, as arrays or tensors.
+    """
     if family == "multiplicative":
-        return apply_multiplicative(codes, delta)
-    if reverse is None:
+        return apply_multiplicative(codes, vectors[0])
+    if len(vectors) == 1:
         # +delta where the label is 0, -delta where it is 1
         sign = Tensor((1.0 - 2.0 * labels).reshape(-1, 1))
-        return apply_additive(codes, sign * delta, "0to1")
+        return apply_additive(codes, sign * vectors[0], "0to1")
+    delta, reverse = vectors
     up = Tensor((labels == 0).astype(np.float64).reshape(-1, 1))
     down = Tensor((labels == 1).astype(np.float64).reshape(-1, 1))
     return apply_additive(apply_additive(codes, up * delta, "0to1"), down * reverse, "1to0")
@@ -196,8 +198,7 @@ def _attack_batch_loss(
     classifier: ClassifierParams,
     codes: np.ndarray,
     labels: np.ndarray,
-    delta: Tensor,
-    reverse: Tensor | None,
+    vectors: list[Tensor],
     config: AttackConfig,
 ) -> Tensor:
     """Attack objective for one batch of latent means, given as a plain array.
@@ -205,11 +206,11 @@ def _attack_batch_loss(
     The codes are constants of the graph: only the decoder, the classifier
     and the perturbation lie between them and the loss.
     """
-    tampered = _tampered_codes(codes, labels, delta, reverse, config.family)
+    tampered = _tampered_codes(codes, labels, vectors, config.family)
     scores = classify(decode(tampered, vae), classifier)
-    loss = attack_loss(scores, labels, delta, config.norm_order, config.reg_weight)
-    if reverse is not None:
-        loss = loss + config.reg_weight * ad.lp_penalty(reverse, config.norm_order)
+    loss = attack_loss(scores, labels, vectors[0], config.norm_order, config.reg_weight)
+    for vector in vectors[1:]:
+        loss = loss + config.reg_weight * ad.lp_penalty(vector, config.norm_order)
     return loss
 
 
@@ -224,37 +225,36 @@ def _latent_means(vae: VaeParams, images: np.ndarray, chunk: int) -> np.ndarray:
 
 
 def _attack_step(vae: VaeParams, classifier: ClassifierParams, labels: np.ndarray,
-                 config: AttackConfig, codes) -> tuple[tuple[Tensor, Tensor | None], tuple]:
+                 config: AttackConfig, codes) -> tuple[list[Tensor], tuple]:
     """Freshly initialized perturbation vectors and their :func:`models._train` step.
 
     ``codes(idx)`` returns the latent means of the batch's rows as a plain
     array: cached means of a frozen VAE, or the means of a VAE that is
     still training, read after its own step on the batch.
     """
-    delta, reverse = _init_deltas(vae.latent_dim, config)
-    optimizer = Adam([delta] if reverse is None else [delta, reverse], config.lr)
+    vectors = _init_deltas(vae.latent_dim, config)
 
     def batch_loss(idx, noise):
-        return _attack_batch_loss(vae, classifier, codes(idx), labels[idx], delta, reverse, config)
+        return _attack_batch_loss(vae, classifier, codes(idx), labels[idx], vectors, config)
 
-    return (delta, reverse), (config.epochs, optimizer, batch_loss)
+    return vectors, (config.epochs, Adam(vectors, config.lr), batch_loss)
 
 
-def _finish(delta: Tensor, reverse: Tensor | None, config: AttackConfig,
-            provenance: str) -> Perturbation:
-    if config.family == "multiplicative" and np.all(delta.data >= 0.0):
+def _finish(vectors: list[Tensor], config: AttackConfig, provenance: str) -> Perturbation:
+    delta, *reverse = (vector.data.copy() for vector in vectors)
+    if config.family == "multiplicative" and np.all(delta >= 0.0):
         warnings.warn(
             "multiplicative perturbation has no negative entries, so no "
             "latent sign can flip and no label swap is achievable",
             stacklevel=3,
         )
     return Perturbation(
-        delta=delta.data.copy(),
+        delta=delta,
         norm_order=config.norm_order,
         family=config.family,
         reg_weight=config.reg_weight,
         provenance=provenance,
-        delta_reverse=None if reverse is None else reverse.data.copy(),
+        delta_reverse=reverse[0] if reverse else None,
     )
 
 
@@ -289,9 +289,9 @@ def learn_attack_independent(
             f"{classifier.image_dim}, dataset {dataset.image_dim}"
         )
     codes = _latent_means(vae, dataset.images, config.batch_size)
-    deltas, step = _attack_step(vae, classifier, dataset.labels, config, lambda idx: codes[idx])
+    vectors, step = _attack_step(vae, classifier, dataset.labels, config, lambda idx: codes[idx])
     _train(len(dataset), config.batch_size, config.seed, [step])
-    return _finish(*deltas, config, "independent")
+    return _finish(vectors, config, "independent")
 
 
 def learn_attack_protocol(
@@ -306,11 +306,11 @@ def learn_attack_protocol(
     ``vae_config.seed``. ``independent`` then trains the VAE alone and
     attacks it frozen once per config. The poisoning modes ``_train`` the
     VAE step and one perturbation step per config together on the VAE's
-    seed and batches, each for its own epochs; every perturbation step
-    encodes the batch with the VAE as its step left it. VAE steps never
-    read a perturbation, so several configs share one VAE trajectory, each
-    perturbation is the one its config learns alone, and a plain poisoning
-    run reproduces :func:`models.train_vae` for the same config exactly.
+    seed and batches, each for its own epochs; a batch's perturbation
+    steps share one encoding by the VAE as its step left it. VAE steps
+    never read a perturbation, so several configs share one VAE trajectory,
+    each perturbation is the one its config learns alone, and a plain
+    poisoning run reproduces :func:`models.train_vae` for the same config exactly.
     ``poisoning+class`` adds the classifier's reconstruction term, weighted
     by ``vae_config.recon_class_weight``, which must be positive there; the
     other modes ignore that weight.
@@ -334,13 +334,20 @@ def learn_attack_protocol(
             learn_attack_independent(vae, classifier, dataset, config) for config in attack_configs
         )
     vae, vae_step = _vae_step(dataset, vae_config, classifier if with_class_term else None)
+    last = None, None  # the batch most recently encoded, and its latent means
+
+    def batch_codes(idx):
+        nonlocal last
+        if last[0] is not idx:  # the first perturbation step of a batch, after the VAE's
+            last = idx, encode_mean(dataset.images[idx], vae)
+        return last[1]
+
     attacks = [
-        _attack_step(vae, classifier, dataset.labels, config,
-                     lambda idx: encode_mean(dataset.images[idx], vae))
+        _attack_step(vae, classifier, dataset.labels, config, batch_codes)
         for config in attack_configs
     ]
     _train(len(dataset), vae_config.batch_size, vae_config.seed,
            [vae_step, *(step for _, step in attacks)])
     return vae, classifier if with_class_term else None, *(
-        _finish(*deltas, config, mode) for (deltas, _), config in zip(attacks, attack_configs)
+        _finish(vectors, config, mode) for (vectors, _), config in zip(attacks, attack_configs)
     )

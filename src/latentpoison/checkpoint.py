@@ -77,12 +77,9 @@ def _describe(artifact, config: dict | None) -> tuple[str, dict, bytes]:
             "family": artifact.family,
             "reg_weight": artifact.reg_weight,
             "provenance": artifact.provenance,
-            "per_direction": artifact.delta_reverse is not None,
+            "per_direction": len(artifact.vectors) == 2,
         }
-        vectors = [artifact.delta]
-        if artifact.delta_reverse is not None:
-            vectors.append(artifact.delta_reverse)
-        payload = _flatten(vectors)
+        payload = _flatten(artifact.vectors)
     else:
         raise TypeError(f"cannot checkpoint objects of type {type(artifact).__name__}")
     if config is not None:

@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, apply_config, load_config_file
 from .data import generate_synthetic, load_idx, save_idx, split
 from .evaluation import ROW_NAMES, evaluate_attack
-from .experiment import ExperimentPlan, grid_plans, run_experiment
+from .experiment import ExperimentError, ExperimentPlan, grid_plans, run_experiment
 from .models import ROLES, TrainConfig, train_classifier, train_vae
 from .reporting import render_grid, write_delta, write_report
 
@@ -148,13 +148,17 @@ def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig, dict[str, st
     """Merge learn-attack settings; ``vae_``-prefixed keys and flags configure the VAE.
 
     The VAE trains on the attack's batches, so its batch size follows the
-    attack's and a file may not set ``vae_batch_size``. The third value
-    names, per VAE field set by a flag or a file key, that flag or key.
+    attack's and a file may not set ``vae_batch_size``; a sweep takes no
+    reg weight. The third value names, per VAE field set by a flag or a
+    file key, that flag or key.
     """
+    if args.sweep and args.reg_weight is not None:
+        raise ConfigError(f"--sweep runs reg weights {REG_WEIGHT_SWEEP}; drop --reg-weight")
     file_values = load_config_file(args.config) if args.config else {}
     vae_keys = [k for k in file_values if k.startswith("vae_")]
     attack_cfg = _merge(
-        AttackConfig(), args, {k: v for k, v in file_values.items() if k not in vae_keys}
+        AttackConfig(), args, {k: v for k, v in file_values.items() if k not in vae_keys},
+        skip=("reg_weight",) if args.sweep else (),
     )
     vae_cfg = _merge(
         TrainConfig(), args, {k[len("vae_") :]: file_values[k] for k in vae_keys},
@@ -362,7 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

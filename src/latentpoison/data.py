@@ -38,7 +38,6 @@ class Dataset:
     labels: np.ndarray  # [n] int64 in {0, 1}
     width: int
     height: int
-    source: str = ""
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
@@ -114,13 +113,7 @@ def generate_synthetic(count: int, width: int, height: int, seed: int) -> Datase
             img[mask] += 0.85 + rng.uniform(-0.05, 0.05)
         img += rng.normal(0.0, 0.05, size=(height, width))
         images[i] = np.clip(img, 0.0, 1.0).reshape(-1)
-    bar = np.argwhere(mask)
-    source = (
-        f"synthetic(count={count},width={width},height={height},seed={seed},"
-        f"bar_rows={bar[:, 0].min()}-{bar[:, 0].max()},"
-        f"bar_cols={bar[:, 1].min()}-{bar[:, 1].max()})"
-    )
-    return Dataset(images, labels, width, height, source)
+    return Dataset(images, labels, width, height)
 
 
 def _read_exact(handle, n: int, path, what: str) -> bytes:
@@ -165,13 +158,7 @@ def load_idx(image_path, label_path, positive_labels) -> Dataset:
     labels = np.fromiter(
         (1 if b in positive else 0 for b in raw_labels), dtype=np.int64, count=count
     )
-    return Dataset(
-        images.reshape(count, height * width),
-        labels,
-        width,
-        height,
-        source=f"idx({image_path.name},{label_path.name})",
-    )
+    return Dataset(images.reshape(count, height * width), labels, width, height)
 
 
 def save_idx(dataset: Dataset, image_path, label_path) -> None:
@@ -218,13 +205,7 @@ def split(dataset: Dataset, test_count: int, seed: int) -> tuple[Dataset, Datase
     test_idx = np.sort(np.concatenate(test_parts))
     train_idx = np.sort(np.concatenate(train_parts))
 
-    def subset(idx: np.ndarray, tag: str) -> Dataset:
-        return Dataset(
-            dataset.images[idx],
-            dataset.labels[idx],
-            dataset.width,
-            dataset.height,
-            source=f"{dataset.source}|{tag}",
-        )
+    def subset(idx: np.ndarray) -> Dataset:
+        return Dataset(dataset.images[idx], dataset.labels[idx], dataset.width, dataset.height)
 
-    return subset(train_idx, "train"), subset(test_idx, "test")
+    return subset(train_idx), subset(test_idx)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import Perturbation, apply_perturbation
+from .attack import Perturbation, _tampered_codes
 from .data import Dataset
 from .models import ClassifierParams, VaeParams, _require_role, classify, decode, encode_mean
 
@@ -84,7 +84,9 @@ def decoded_view(vae: VaeParams, perturbation: Perturbation, test_set: Dataset,
     if len(x) == 0:
         raise ValueError(f"test set must contain both classes, has no class-{source_label} samples")
     z = encode_mean(x, vae)
-    return x, decode(z, vae).data, decode(apply_perturbation(z, perturbation, direction), vae).data
+    tampered = _tampered_codes(z, np.full(len(x), source_label), perturbation.vectors,
+                               perturbation.family)
+    return x, decode(z, vae).data, decode(tampered, vae).data
 
 
 def confidence_table(
@@ -190,11 +192,12 @@ def evaluate_attack(
     config: dict | None = None,
     mode: str | None = None,
 ) -> AttackReport:
-    """Assemble the full report for one trained attack."""
+    """Assemble the full report for one trained attack, over every vector's elements."""
     rows = confidence_table(vae, perturbation, classifier, test_set)
     plus, minus = epsilon_gap(rows)
-    probabilities = [detection_probability(v) for v in perturbation.delta]
-    _, sparsity = sparsity_profile(perturbation.delta)
+    elements = np.concatenate(perturbation.vectors)
+    probabilities = [detection_probability(v) for v in elements]
+    _, sparsity = sparsity_profile(elements)
     return AttackReport(
         mode=mode or perturbation.provenance,
         family=perturbation.family,

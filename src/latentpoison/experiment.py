@@ -62,6 +62,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # the configs' own rules, checked before any stage runs
+        self.vae_config()
+        self.attack_config()
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -83,16 +83,21 @@ def write_report(report: AttackReport, path) -> None:
 
 
 def delta_to_csv(perturbation: Perturbation) -> str:
-    """Per-element dump of the perturbation with each element's detectability."""
+    """Per-element dump of the perturbation with each element's detectability.
+
+    A per-direction dump says so in its header, and the 1-to-0 vector's
+    elements follow the shared one's, numbered on from ``latent_dim``.
+    """
     lines = [
         f"# {DELTA_HEADER}",
         f"# provenance = {perturbation.provenance}",
         f"# family = {perturbation.family}",
         f"# norm_order = {perturbation.norm_order}",
         f"# reg_weight = {_fmt(perturbation.reg_weight)}",
+        *(["# per_direction = True"] if len(perturbation.vectors) > 1 else []),
         "index,value,detection_probability",
     ]
-    for i, value in enumerate(perturbation.delta):
+    for i, value in enumerate(np.concatenate(perturbation.vectors)):
         lines.append(f"{i},{_fmt(float(value))},{_fmt(detection_probability(float(value)))}")
     return "\n".join(lines) + "\n"
 

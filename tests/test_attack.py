@@ -14,9 +14,9 @@ from latentpoison.attack import (
     _attack_batch_loss,
     _init_deltas,
     _latent_means,
+    _tampered_codes,
     apply_additive,
     apply_multiplicative,
-    apply_perturbation,
     attack_loss,
     learn_attack_independent,
     learn_attack_protocol,
@@ -165,8 +165,9 @@ class TestPerturbationType:
         pert = Perturbation(np.array([1.0]), 2, "additive", 0.0, "independent",
                             delta_reverse=np.array([10.0]))
         z = np.array([[0.0]])
-        np.testing.assert_array_equal(apply_perturbation(z, pert, "0to1"), [[1.0]])
-        np.testing.assert_array_equal(apply_perturbation(z, pert, "1to0"), [[-10.0]])
+        for label, expected in ((0, [[1.0]]), (1, [[-10.0]])):
+            tampered = _tampered_codes(z, np.array([label]), pert.vectors, pert.family)
+            np.testing.assert_array_equal(tampered.data, expected)
 
 
 class TestConfigValidation:
@@ -261,21 +262,19 @@ class TestIndependentAttack:
         attack_clf, _ = tiny_classifiers
         config = AttackConfig(family=family, per_direction=True)
         rng = np.random.default_rng(4)
-        delta, reverse = (Tensor(rng.standard_normal(tiny_vae.latent_dim)) for _ in range(2))
+        vectors = [Tensor(rng.standard_normal(tiny_vae.latent_dim)) for _ in range(2)]
         frozen = tiny_vae.parameters() + attack_clf.parameters()
         codes = encode(tiny_data.images, tiny_vae)[0].data
 
         def delta_grads(wrt):
-            loss = _attack_batch_loss(
-                tiny_vae, attack_clf, codes, tiny_data.labels, delta, reverse, config
-            )
+            loss = _attack_batch_loss(tiny_vae, attack_clf, codes, tiny_data.labels, vectors, config)
             ad.backward(loss, wrt)
-            return delta.grad.copy(), reverse.grad.copy()
+            return [vector.grad.copy() for vector in vectors]
 
         before = [p.grad for p in frozen]
-        pruned = delta_grads([delta, reverse])
+        pruned = delta_grads(vectors)
         assert all(p.grad is g for p, g in zip(frozen, before))
-        full = delta_grads([delta, reverse] + frozen)
+        full = delta_grads(vectors + frozen)
         # the codes are cached means, so the whole encoder stays off the path
         assert [p.name for p in frozen if p.grad is None] == [
             f"{layer}.{kind}" for layer in ("enc0", "enc1", "mu", "log_var")
@@ -305,23 +304,22 @@ class TestIndependentAttack:
         attack_clf, _ = tiny_classifiers
         config = AttackConfig(epochs=3, batch_size=16, seed=12, **options)
         # reference: the frozen encoder re-run on every batch
-        delta, reverse = _init_deltas(tiny_vae.latent_dim, config)
-        trained = [delta] + ([reverse] if reverse is not None else [])
-        optimizer = ad.Adam(trained, config.lr)
+        vectors = _init_deltas(tiny_vae.latent_dim, config)
+        optimizer = ad.Adam(vectors, config.lr)
         for epoch in range(config.epochs):
             for idx in _epoch_batches(len(tiny_data), config.batch_size,
                                       stream(config.seed, SHUFFLE, epoch)):
                 codes = encode(tiny_data.images[idx], tiny_vae)[0].data
                 loss = _attack_batch_loss(tiny_vae, attack_clf, codes, tiny_data.labels[idx],
-                                          delta, reverse, config)
-                ad.backward(loss, trained)
+                                          vectors, config)
+                ad.backward(loss, vectors)
                 optimizer.step()
         pert = learn_attack_independent(tiny_vae, attack_clf, tiny_data, config)
-        assert pert.delta.tobytes() == delta.data.tobytes()
-        if reverse is None:
+        assert pert.delta.tobytes() == vectors[0].data.tobytes()
+        if len(vectors) == 1:
             assert pert.delta_reverse is None
         else:
-            assert pert.delta_reverse.tobytes() == reverse.data.tobytes()
+            assert pert.delta_reverse.tobytes() == vectors[1].data.tobytes()
 
 
 class TestPoisoningAttacks:
@@ -361,8 +359,8 @@ class TestPoisoningAttacks:
         vae = VaeParams.initialize(tiny_data.image_dim, vae_config.latent_dim,
                                    stream(vae_config.seed, PARAM_INIT))
         vae_optimizer = ad.Adam(vae.parameters(), vae_config.lr)
-        delta, reverse = _init_deltas(vae.latent_dim, config)
-        optimizer = ad.Adam([delta, reverse], config.lr)
+        vectors = _init_deltas(vae.latent_dim, config)
+        optimizer = ad.Adam(vectors, config.lr)
         for epoch in range(max(vae_epochs, attack_epochs)):
             noise = stream(vae_config.seed, LATENT_NOISE, epoch)
             for idx in _epoch_batches(len(tiny_data), vae_config.batch_size,
@@ -373,12 +371,12 @@ class TestPoisoningAttacks:
                     vae_optimizer.step()
                 if epoch < attack_epochs:
                     codes = encode(x, vae)[0].data
-                    loss = _attack_batch_loss(vae, classifier, codes, y, delta, reverse, config)
-                    ad.backward(loss, [delta, reverse])
+                    loss = _attack_batch_loss(vae, classifier, codes, y, vectors, config)
+                    ad.backward(loss, vectors)
                     optimizer.step()
         _, _, pert = learn_attack_protocol("poisoning", tiny_data, vae_config, config)
-        assert pert.delta.tobytes() == delta.data.tobytes()
-        assert pert.delta_reverse.tobytes() == reverse.data.tobytes()
+        assert pert.delta.tobytes() == vectors[0].data.tobytes()
+        assert pert.delta_reverse.tobytes() == vectors[1].data.tobytes()
 
     def test_same_seed_reproducible(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=2)
@@ -482,6 +480,25 @@ class TestLearnAttackProtocol:
             else:
                 assert pert.delta_reverse is None and alone.delta_reverse is None
             assert (pert.reg_weight, pert.provenance) == (config.reg_weight, mode)
+
+    def test_sweep_encodes_each_batch_once(self, tiny_config, monkeypatch):
+        from latentpoison.data import generate_synthetic
+
+        data = generate_synthetic(64, 8, 8, seed=3)
+        encoded = []
+        original = attack.encode_mean
+
+        def counted(x, vae):
+            encoded.append(len(x))
+            return original(x, vae)
+
+        monkeypatch.setattr(attack, "encode_mean", counted)
+        vae_config = dataclasses.replace(tiny_config, epochs=1, batch_size=16)
+        configs = [AttackConfig(epochs=1, batch_size=16, reg_weight=weight)
+                   for weight in (0.001, 0.01, 0.1, 1.0)]
+        learn_attack_protocol("poisoning", data, vae_config, *configs)
+        # four batches, each encoded once for all four perturbation steps
+        assert encoded == [16, 16, 16, 16]
 
 
 def test_multiplicative_all_nonnegative_warns(tiny_vae, tiny_classifiers, tiny_data):

@@ -171,6 +171,24 @@ class TestLearnAttackConfigMerge:
         with pytest.raises(ConfigError, match="unknown configuration key 'bogus'"):
             self._configs(tmp_path, "vae_bogus = 1\n")
 
+    @pytest.mark.parametrize("given", ["flag", "file"])
+    def test_sweep_rejects_a_reg_weight(self, tmp_path, capsys, given):
+        config = tmp_path / "attack.cfg"
+        config.write_text("reg_weight = 0.5\n")
+        setting = ["--reg-weight", "0.5"] if given == "flag" else ["--config", str(config)]
+        code = main([
+            "learn-attack", "--mode", "poisoning", "--sweep", *setting,
+            # missing files: the rejection comes before the data is read
+            "--images", str(tmp_path / "missing-images.idx"),
+            "--labels", str(tmp_path / "missing-labels.idx"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert ("--reg-weight" if given == "flag" else "'reg_weight'") in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAttackAndEvaluate:
     @pytest.fixture(scope="class")
@@ -405,6 +423,32 @@ class TestRunGrid:
         assert "running 6 plans" in out
         assert "Confidence means" in out
         assert out.count("eps+") == 6
+
+    def test_bad_plan_rejected_before_any_work(self, tmp_path, capsys):
+        code = main(["run-grid", "--out-dir", str(tmp_path / "out"), *TINY_GRID,
+                     "--reg-weight", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: reg_weight must be non-negative, got -1.0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["split", "out-dir-is-a-file"])
+    def test_failed_stage_is_an_error_not_a_traceback(self, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        if case == "split":
+            flags = [*TINY_GRID, "--test-count", "60"]  # the whole set: nothing left to train on
+            stage = "data"
+        else:
+            out.write_text("")
+            flags = TINY_GRID
+            stage = "write-outputs"
+        code = main(["run-grid", "--out-dir", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage '{stage}' failed: ")
+        assert "Traceback" not in err
+        assert not out.is_dir()
 
     @pytest.mark.parametrize("key", ["mode", "family", "norm_order", "out_dir"])
     def test_config_keys_fixed_by_the_grid_are_errors(self, tmp_path, capsys, key):

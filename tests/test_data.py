@@ -66,10 +66,6 @@ class TestGenerator:
             assert rows.min() >= (2 * height) // 3
             assert rows.max() < height
 
-    def test_descriptor_records_geometry(self):
-        data = generate_synthetic(4, 16, 16, seed=1)
-        assert "bar_rows=" in data.source and "seed=1" in data.source
-
 
 class TestDatasetValidation:
     def test_length_mismatch(self):

@@ -5,18 +5,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latentpoison.attack import AttackConfig, Perturbation, learn_attack_independent
+from latentpoison.attack import (
+    AttackConfig,
+    Perturbation,
+    apply_additive,
+    apply_multiplicative,
+    learn_attack_independent,
+)
 from latentpoison.evaluation import (
     PRIOR_INTERVAL_HALFWIDTH,
     ConfidenceRow,
     confidence,
     confidence_table,
+    decoded_view,
     detection_probability,
     epsilon_gap,
     evaluate_attack,
     pixel_diff,
     sparsity_profile,
 )
+from latentpoison.models import decode, encode_mean
 
 unit_scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -200,6 +208,28 @@ class TestPixelDiff:
         assert raw1.shape[0] == len(tiny_data.class_indices(1))
 
 
+class TestDecodedView:
+    @pytest.mark.parametrize("family, per_direction", [
+        ("additive", False), ("additive", True), ("multiplicative", False),
+    ], ids=["additive", "additive-per-direction", "multiplicative"])
+    def test_attacked_decodes_equal_the_reference_transform(
+        self, tiny_vae, tiny_data, family, per_direction
+    ):
+        rng = np.random.default_rng(9)
+        delta, reverse = (rng.normal(0.0, 0.5, tiny_vae.latent_dim) for _ in range(2))
+        pert = Perturbation(delta, 2, family, 0.01, "independent",
+                            delta_reverse=reverse if per_direction else None)
+        for direction, label in (("0to1", 0), ("1to0", 1)):
+            z = encode_mean(tiny_data.images[tiny_data.class_indices(label)], tiny_vae)
+            if family == "multiplicative":
+                reference = apply_multiplicative(z, delta)
+            else:
+                vector = reverse if per_direction and direction == "1to0" else delta
+                reference = apply_additive(z, vector, direction)
+            _, _, attacked = decoded_view(tiny_vae, pert, tiny_data, direction)
+            assert attacked.tobytes() == decode(reference, tiny_vae).data.tobytes()
+
+
 class TestEvaluateAttack:
     def test_report_assembly(self, tiny_vae, tiny_classifiers, tiny_data):
         attack_clf, eval_clf = tiny_classifiers
@@ -218,3 +248,15 @@ class TestEvaluateAttack:
         assert report.row("original_class1").name == "original_class1"
         with pytest.raises(KeyError):
             report.row("nonexistent")
+
+    def test_per_direction_report_covers_both_vectors(self, tiny_vae, tiny_classifiers, tiny_data):
+        # a faint shared vector and a strong 1-to-0 one: the strong one sets
+        # the maximum, and the faint one's elements count as inactive
+        _, eval_clf = tiny_classifiers
+        dim = tiny_vae.latent_dim
+        pert = Perturbation(np.full(dim, 0.002), 2, "additive", 0.01, "independent",
+                            delta_reverse=np.full(dim, 0.1))
+        report = evaluate_attack(tiny_vae, pert, eval_clf, tiny_data)
+        assert len(report.detection_probabilities) == 2 * dim
+        assert report.detection_max == detection_probability(0.1)
+        assert report.sparsity_fraction == 0.5

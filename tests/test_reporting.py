@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latentpoison.attack import Perturbation
-from latentpoison.evaluation import AttackReport, ConfidenceRow
+from latentpoison.evaluation import AttackReport, ConfidenceRow, detection_probability
 from latentpoison.reporting import (
     delta_to_csv,
     grid_array,
@@ -84,6 +84,31 @@ class TestDeltaCsv:
         index, value, prob = table[2].split(",")
         assert (index, float(value)) == ("1", 1.0)
         assert float(prob) == pytest.approx(0.0355, abs=1e-3)
+
+    def test_single_vector_dump_bytes(self):
+        pert = Perturbation(np.array([0.0]), 2, "additive", 0.5, "independent")
+        assert delta_to_csv(pert) == (
+            "# latentpoison perturbation dump v1\n"
+            "# provenance = independent\n"
+            "# family = additive\n"
+            "# norm_order = 2\n"
+            "# reg_weight = 0.5\n"
+            "index,value,detection_probability\n"
+            f"0,0.0,{detection_probability(0.0)!r}\n"
+        )
+
+    def test_per_direction_dump_lists_both_vectors(self):
+        pert = Perturbation(np.array([0.5, -0.25]), 2, "additive", 0.01, "independent",
+                            delta_reverse=np.array([3.0, -4.0]))
+        lines = delta_to_csv(pert).splitlines()
+        assert "# per_direction = True" in lines
+        table = [l.split(",") for l in lines if l and not l.startswith("#")][1:]
+        assert [(int(i), float(v)) for i, v, _ in table] == [
+            (0, 0.5), (1, -0.25), (2, 3.0), (3, -4.0)
+        ]
+        assert [float(p) for _, _, p in table] == [
+            detection_probability(v) for v in (0.5, -0.25, 3.0, -4.0)
+        ]
 
 
 class TestPgm:
