@@ -32,7 +32,6 @@ from .evaluation import (
     detection_probability,
     epsilon_gap,
     evaluate_attack,
-    pixel_diff,
     sparsity_profile,
 )
 from .experiment import ExperimentPlan, grid_plans, run_experiment

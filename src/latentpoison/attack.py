@@ -36,6 +36,7 @@ from .models import (
     TrainConfig,
     VaeParams,
     _classifier_config,
+    _require_finite,
     _require_role,
     _train,
     _vae_step,
@@ -55,6 +56,7 @@ DIRECTIONS = ("0to1", "1to0")
 
 def _check_fields(norm_order: int, family: str, reg_weight: float) -> None:
     """The rules an attack config and a learned perturbation share."""
+    _require_finite(reg_weight=reg_weight)
     if reg_weight < 0:
         raise ValueError(f"reg_weight must be non-negative, got {reg_weight}")
     if norm_order not in (1, 2):
@@ -76,6 +78,7 @@ class AttackConfig:
     per_direction: bool = False  # learn an independent vector for each direction
 
     def __post_init__(self):
+        _require_finite(lr=self.lr)
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.lr <= 0:

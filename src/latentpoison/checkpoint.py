@@ -8,7 +8,7 @@ Layout, all integers little-endian:
     desc      bytes     UTF-8 JSON: architecture, metadata, config echo
     pay_len   u64       length of the payload in bytes
     payload   bytes     all parameters flattened, float64 little-endian
-    hash      8 bytes   BLAKE2b-64 of the payload
+    hash      8 bytes   BLAKE2b-64 of the payload; nothing follows it
 
 Round trips are bitwise: the payload stores raw IEEE doubles in a fixed
 parameter order and the hash is verified on every load.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -31,6 +32,22 @@ FORMAT_VERSION = 1
 
 _KIND_BYTES = {"vae": 1, "classifier": 2, "perturbation": 3}
 _KIND_NAMES = {v: k for k, v in _KIND_BYTES.items()}
+_KIND_OF = {VaeParams: "vae", ClassifierParams: "classifier", Perturbation: "perturbation"}
+
+# Per kind, the descriptor fields besides kind, init and config, with the JSON
+# type each must have; a network's fields are its _from_arrays keyword arguments.
+_FIELDS = {
+    "vae": {"image_dim": int, "latent_dim": int, "hidden": list},
+    "classifier": {"image_dim": int, "hidden": list, "role": str},
+    "perturbation": {
+        "latent_dim": int,
+        "per_direction": bool,
+        "norm_order": int,
+        "family": str,
+        "reg_weight": (int, float),
+        "provenance": str,
+    },
+}
 
 
 class CheckpointError(ValueError):
@@ -62,29 +79,20 @@ def _flatten(arrays) -> bytes:
 
 
 def _describe(artifact, config: dict | None) -> tuple[str, dict, bytes]:
-    if isinstance(artifact, (VaeParams, ClassifierParams)):
-        desc = {"image_dim": artifact.image_dim, "hidden": list(artifact.hidden), "init": INIT_SCHEME}
-        if isinstance(artifact, VaeParams):
-            desc |= {"kind": "vae", "latent_dim": artifact.latent_dim}
-        else:
-            desc |= {"kind": "classifier", "role": artifact.role}
-        payload = _flatten(p.data for p in artifact.parameters())
-    elif isinstance(artifact, Perturbation):
-        desc = {
-            "kind": "perturbation",
-            "latent_dim": artifact.latent_dim,
-            "norm_order": artifact.norm_order,
-            "family": artifact.family,
-            "reg_weight": artifact.reg_weight,
-            "provenance": artifact.provenance,
-            "per_direction": len(artifact.vectors) == 2,
-        }
+    kind = _KIND_OF.get(type(artifact))
+    if kind is None:
+        raise TypeError(f"cannot checkpoint objects of type {type(artifact).__name__}")
+    if kind == "perturbation":
+        desc = {"per_direction": len(artifact.vectors) == 2}
         payload = _flatten(artifact.vectors)
     else:
-        raise TypeError(f"cannot checkpoint objects of type {type(artifact).__name__}")
+        desc = {"init": INIT_SCHEME}
+        payload = _flatten(p.data for p in artifact.parameters())
+    desc |= {name: getattr(artifact, name) for name in _FIELDS[kind] if name not in desc}
+    desc["kind"] = kind
     if config is not None:
         desc["config"] = config
-    return desc["kind"], desc, payload
+    return kind, desc, payload
 
 
 def save_checkpoint(artifact, path, config: dict | None = None) -> None:
@@ -119,14 +127,14 @@ class _Reader:
 
 
 def _split_payload(payload: bytes, shapes: list[tuple[int, ...]], path) -> list[np.ndarray]:
-    expected = sum(int(np.prod(s)) for s in shapes) * 8
+    expected = sum(math.prod(s) for s in shapes) * 8
     if len(payload) != expected:
         raise CheckpointError(
             f"{path}: payload holds {len(payload)} bytes, layout needs {expected}"
         )
     arrays, offset = [], 0
     for shape in shapes:
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         arrays.append(
             np.frombuffer(payload, dtype="<f8", count=n, offset=offset)
             .astype(np.float64)
@@ -153,42 +161,28 @@ def _field(desc: dict, name: str, kind, path):
     return value
 
 
-def _rebuild_network(desc: dict, payload: bytes, path):
-    image_dim = _field(desc, "image_dim", int, path)
-    hidden = tuple(_field(desc, "hidden", list, path))
-    if desc["kind"] == "vae":
-        network, dims = VaeParams, (image_dim, _field(desc, "latent_dim", int, path), hidden)
-        extra = ()
-    else:
-        network, dims = ClassifierParams, (image_dim, hidden)
-        role = _field(desc, "role", str, path)
-        if role not in ROLES:
-            raise CheckpointError(
-                f"{path}: descriptor field 'role' is {role!r}, not one of {ROLES}"
-            )
-        extra = (role,)
+def _rebuild(kind: str, desc: dict, payload: bytes, path):
+    """The artifact a descriptor and payload hold, every field read as ``_FIELDS`` lists it."""
+    values = {name: _field(desc, name, json_type, path) for name, json_type in _FIELDS[kind].items()}
+    if kind == "perturbation":
+        count = 2 if values.pop("per_direction") else 1
+        arrays = _split_payload(payload, [(values.pop("latent_dim"),)] * count, path)
+        try:
+            return Perturbation(**dict(zip(Perturbation._VECTOR_NAMES, arrays)), **values)
+        except ValueError as exc:  # a field rule of Perturbation; the message names the field
+            raise CheckpointError(f"{path}: {exc}") from exc
+    if "role" in values and values["role"] not in ROLES:
+        raise CheckpointError(
+            f"{path}: descriptor field 'role' is {values['role']!r}, not one of {ROLES}"
+        )
+    network = VaeParams if kind == "vae" else ClassifierParams
+    dims = {name: value for name, value in values.items() if name != "role"}
     shapes = [
         shape
-        for _, fan_in, fan_out in network.layout(*dims)
+        for _, fan_in, fan_out in network.layout(**dims)
         for shape in ((fan_in, fan_out), (fan_out,))
     ]
-    return network._from_arrays(_split_payload(payload, shapes, path), *dims, *extra)
-
-
-def _rebuild_perturbation(desc: dict, payload: bytes, path) -> Perturbation:
-    latent_dim = _field(desc, "latent_dim", int, path)
-    per_direction = _field(desc, "per_direction", bool, path)
-    arrays = _split_payload(payload, [(latent_dim,)] * (2 if per_direction else 1), path)
-    fields = {
-        "norm_order": _field(desc, "norm_order", int, path),
-        "family": _field(desc, "family", str, path),
-        "reg_weight": _field(desc, "reg_weight", (int, float), path),
-        "provenance": _field(desc, "provenance", str, path),
-    }
-    try:
-        return Perturbation(arrays[0], **fields, delta_reverse=arrays[1] if per_direction else None)
-    except ValueError as exc:  # a field rule of Perturbation; the message names the field
-        raise CheckpointError(f"{path}: {exc}") from exc
+    return network._from_arrays(_split_payload(payload, shapes, path), **values)
 
 
 def load_checkpoint(path, expect_kind: str | None = None):
@@ -225,9 +219,11 @@ def load_checkpoint(path, expect_kind: str | None = None):
     (pay_len,) = struct.unpack("<Q", reader.take(8, "payload length"))
     payload = reader.take(pay_len, "payload")
     stored_hash = reader.take(8, "hash")
+    extra = len(reader.blob) - reader.offset
+    if extra:
+        raise CheckpointError(f"{path}: {extra} bytes after the hash")
     if _payload_hash(payload) != stored_hash:
         raise CheckpointHashError(f"{path}: payload hash mismatch, file is corrupt")
     if expect_kind is not None and kind != expect_kind:
         raise CheckpointKindError(f"{path}: holds a {kind}, expected a {expect_kind}")
-    rebuild = _rebuild_perturbation if kind == "perturbation" else _rebuild_network
-    return rebuild(desc, payload, path), desc.get("config")
+    return _rebuild(kind, desc, payload, path), desc.get("config")

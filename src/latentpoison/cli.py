@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .attack import MODES, AttackConfig, learn_attack_independent, learn_attack_protocol
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, apply_config, load_config_file
+from .config import ConfigError, load_config_file, merge_settings
 from .data import generate_synthetic, load_idx, save_idx, split
 from .evaluation import ROW_NAMES, evaluate_attack
 from .experiment import ExperimentError, ExperimentPlan, grid_plans, run_experiment
@@ -60,24 +60,11 @@ def _add_dataclass_flags(parser: argparse.ArgumentParser, template, skip=()) -> 
             )
 
 
-def _merge(template, args: argparse.Namespace, file_values=None, skip=(), prefix=""):
-    """defaults < config file < explicit flags, with unknown keys rejected.
-
-    ``file_values`` defaults to the ``--config`` file and may not set the
-    command's own ``skip`` keys; field ``f`` reads its flag from ``args.<prefix>f``.
-    """
-    if file_values is None:
-        file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in skip:
-        if key in file_values:
-            raise ConfigError(f"{args.config}: key {prefix + key!r} is fixed by this command")
-    instance = apply_config(template, file_values)
-    overrides = {}
-    for f in dataclasses.fields(template):
-        value = getattr(args, prefix + f.name, None)
-        if f.name not in skip and value is not None:
-            overrides[f.name] = value
-    return dataclasses.replace(instance, **overrides)
+def _merge(args: argparse.Namespace, template, fixed=()):
+    """defaults < ``--config`` file < explicit flags, for a one-part command."""
+    file_values = load_config_file(args.config) if args.config else {}
+    (instance,) = merge_settings([(template, "")], args.config, file_values, args, fixed)
+    return instance
 
 
 def _echo(title: str, instance) -> None:
@@ -96,7 +83,7 @@ class GenDataArgs:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _merge(GenDataArgs(), args)
+    cfg = _merge(args, GenDataArgs())
     if cfg.test_count < 0:
         raise ConfigError(
             f"test_count must be non-negative (0 writes no split), got {cfg.test_count}"
@@ -122,7 +109,7 @@ def _load_dataset(args):
 
 
 def cmd_train_vae(args) -> int:
-    cfg = _merge(TrainConfig(), args)
+    cfg = _merge(args, TrainConfig())
     _echo("train-vae", cfg)
     dataset = _load_dataset(args)
     recon_classifier = None
@@ -135,7 +122,7 @@ def cmd_train_vae(args) -> int:
 
 
 def cmd_train_classifier(args) -> int:
-    cfg = _merge(TrainConfig(), args)
+    cfg = _merge(args, TrainConfig())
     _echo("train-classifier", cfg)
     dataset = _load_dataset(args)
     params = train_classifier(dataset, cfg, role=args.role)
@@ -155,16 +142,11 @@ def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig, dict[str, st
     if args.sweep and args.reg_weight is not None:
         raise ConfigError(f"--sweep runs reg weights {REG_WEIGHT_SWEEP}; drop --reg-weight")
     file_values = load_config_file(args.config) if args.config else {}
-    vae_keys = [k for k in file_values if k.startswith("vae_")]
-    attack_cfg = _merge(
-        AttackConfig(), args, {k: v for k, v in file_values.items() if k not in vae_keys},
-        skip=("reg_weight",) if args.sweep else (),
+    fixed = ("vae_batch_size", "reg_weight") if args.sweep else ("vae_batch_size",)
+    attack_cfg, vae_cfg = merge_settings(
+        [(AttackConfig(), ""), (TrainConfig(), "vae_")], args.config, file_values, args, fixed
     )
-    vae_cfg = _merge(
-        TrainConfig(), args, {k[len("vae_") :]: file_values[k] for k in vae_keys},
-        skip=("batch_size",), prefix="vae_",
-    )
-    given = {k[len("vae_") :]: k for k in vae_keys}
+    given = {k[len("vae_") :]: k for k in file_values if k.startswith("vae_")}
     given |= {f: flag for f, flag in VAE_FLAGS.items() if getattr(args, f"vae_{f}") is not None}
     return attack_cfg, dataclasses.replace(vae_cfg, batch_size=attack_cfg.batch_size), given
 
@@ -241,10 +223,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run_grid(args) -> int:
-    base = _merge(ExperimentPlan(), args, skip=GRID_FIXED)
+    base = _merge(args, ExperimentPlan(), fixed=GRID_FIXED)
     plans = grid_plans(
         args.out_dir, base=base, include_multiplicative=args.include_multiplicative
     )
+    # every plan writes under --out-dir: a file in its way fails now, not after a plan trains
+    out = Path(args.out_dir)
+    existing = next(p for p in (out, *out.absolute().parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out-dir {out}: {existing} is not a directory")
     print(f"running {len(plans)} plans under {args.out_dir}")
     results = []
     for plan in plans:

@@ -1,8 +1,8 @@
 """Plain-text configuration files: one ``key = value`` per line.
 
 Blank lines and ``#`` comments are ignored. Values are coerced to the
-type of the matching dataclass field; unknown or malformed keys are
-errors, never silently dropped.
+type of the matching dataclass field; unknown, fixed or malformed keys
+are errors naming the file and the key, never silently dropped.
 """
 
 from __future__ import annotations
@@ -38,36 +38,46 @@ def load_config_file(path) -> dict[str, str]:
     return parse_config_text(path.read_text(encoding="utf-8"), origin=str(path))
 
 
-def _coerce(key: str, value: str, template) -> object:
+def _coerce(key: str, value: str, template, path) -> object:
     if isinstance(template, bool):
         lowered = value.lower()
         if lowered in ("true", "1", "yes"):
             return True
         if lowered in ("false", "0", "no"):
             return False
-        raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}")
+        raise ConfigError(f"{path}: key {key!r}: expected a boolean, got {value!r}")
     try:
         if isinstance(template, int):
             return int(value)
         if isinstance(template, float):
             return float(value)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from exc
+        raise ConfigError(f"{path}: key {key!r}: {exc}") from exc
     return value
 
 
-def apply_config(instance, values: dict[str, str]):
-    """Return a copy of a dataclass instance with string values applied.
+def merge_settings(parts, path, file_values: dict[str, str], flags, fixed=()) -> list:
+    """One dataclass per ``(template, prefix)`` part: defaults < config file < flags.
 
-    Every key must name a field of the instance; coercion follows the type
-    of the field's current value.
+    A setting is named ``prefix + field``, both as a key of ``file_values``
+    (read from ``path``) and as an attribute of ``flags`` (an argparse
+    namespace, where None means "not given"). Names in ``fixed`` belong to
+    the command: a file may not set them and their flags are not read.
+    Every file key is checked and coerced before any flag is overlaid, and
+    each dataclass is built once, from its final values.
     """
-    known = {f.name: getattr(instance, f.name) for f in dataclasses.fields(instance)}
-    updates = {}
-    for key, value in values.items():
+    known = {prefix + f.name: (i, f.name) for i, (template, prefix) in enumerate(parts)
+             for f in dataclasses.fields(template) if prefix + f.name not in fixed}
+    updates = [{} for _ in parts]
+    for key, value in file_values.items():
+        if key in fixed:
+            raise ConfigError(f"{path}: key {key!r} is fixed by this command")
         if key not in known:
-            raise ConfigError(
-                f"unknown configuration key {key!r}; known keys: {', '.join(sorted(known))}"
-            )
-        updates[key] = _coerce(key, value, known[key])
-    return dataclasses.replace(instance, **updates)
+            raise ConfigError(f"{path}: unknown configuration key {key!r}; "
+                              f"known keys: {', '.join(sorted(known))}")
+        i, name = known[key]
+        updates[i][name] = _coerce(key, value, getattr(parts[i][0], name), path)
+    for key, (i, name) in known.items():
+        if getattr(flags, key, None) is not None:
+            updates[i][name] = getattr(flags, key)
+    return [dataclasses.replace(template, **values) for (template, _), values in zip(parts, updates)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,10 +118,11 @@ def generate_synthetic(count: int, width: int, height: int, seed: int) -> Datase
 
 
 def _read_exact(handle, n: int, path, what: str) -> bytes:
-    chunk = handle.read(n)
-    if len(chunk) != n:
-        raise IdxTruncatedError(f"{path}: expected {n} bytes for {what}, got {len(chunk)}")
-    return chunk
+    """``n`` bytes, checked against the file's size first: a header's count is never trusted."""
+    left = os.fstat(handle.fileno()).st_size - handle.tell()
+    if n > left:
+        raise IdxTruncatedError(f"{path}: expected {n} bytes for {what}, got {left}")
+    return handle.read(n)
 
 
 def load_idx(image_path, label_path, positive_labels) -> Dataset:

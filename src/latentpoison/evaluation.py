@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import Perturbation, _tampered_codes
+from .attack import DIRECTIONS, Perturbation, _tampered_codes
 from .data import Dataset
 from .models import ClassifierParams, VaeParams, _require_role, classify, decode, encode_mean
 
@@ -79,7 +79,9 @@ def decoded_view(vae: VaeParams, perturbation: Perturbation, test_set: Dataset,
     The source class is 0 for "0to1" and 1 for "1to0". Its images are
     encoded once; the latent means are decoded as they are and tampered.
     """
-    source_label = 0 if direction == "0to1" else 1
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    source_label = DIRECTIONS.index(direction)
     x = test_set.images[test_set.class_indices(source_label)]
     if len(x) == 0:
         raise ValueError(f"test set must contain both classes, has no class-{source_label} samples")
@@ -158,24 +160,6 @@ def sparsity_profile(delta: np.ndarray) -> tuple[np.ndarray, float]:
         return values, 1.0
     fraction = float((np.abs(values) < SPARSITY_THRESHOLD_RATIO * largest).mean())
     return values, fraction
-
-
-def pixel_diff(
-    vae: VaeParams,
-    perturbation: Perturbation,
-    test_set: Dataset,
-    direction: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel change the perturbation causes, per affected test sample.
-
-    Uses the samples whose encodings the given direction tampers with
-    (class 0 for "0to1", class 1 for "1to0"). Returns (raw, scaled): the
-    signed differences decode(tampered) - decode(untampered), and the same
-    data linearly rescaled to [0, 1] for rendering.
-    """
-    _, recon, attacked = decoded_view(vae, perturbation, test_set, direction)
-    raw = attacked - recon
-    return raw, unit_range(raw)
 
 
 def unit_range(raw: np.ndarray) -> np.ndarray:

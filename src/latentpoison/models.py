@@ -9,6 +9,7 @@ finite-difference gradient checks tight everywhere.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,13 @@ def _require_role(classifier: ClassifierParams, role: str, use: str) -> None:
         raise ValueError(f"{use} must use the {role} classifier, got role {classifier.role!r}")
 
 
+def _require_finite(**settings: float) -> None:
+    """Reject a NaN or infinite setting by name, before any training step can diverge."""
+    for name, value in settings.items():
+        if isinstance(value, float) and not math.isfinite(value):  # an int of any size is finite
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters shared by the VAE and classifier trainers.
@@ -61,6 +69,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(lr=self.lr, kl_weight=self.kl_weight,
+                        recon_class_weight=self.recon_class_weight)
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.kl_weight < 0:

@@ -361,7 +361,7 @@ def test_criterion_09_persistence(tmp_path, tiny_vae, tiny_classifiers):
 class TestAcceptanceRunProperties:
     def test_pixel_diff_concentrates_on_class_feature(self, additive_grid):
         from latentpoison.data import feature_mask
-        from latentpoison.evaluation import pixel_diff
+        from latentpoison.evaluation import decoded_view
         from latentpoison.experiment import make_dataset
 
         plan, _, _ = additive_grid["entries"][("independent", 2)]
@@ -370,7 +370,8 @@ class TestAcceptanceRunProperties:
         _, test_set = make_dataset(plan)
         mask = feature_mask(plan.width, plan.height).reshape(-1)
         for direction in ("0to1", "1to0"):
-            raw, _ = pixel_diff(vae, pert, test_set, direction)
+            _, recon, attacked = decoded_view(vae, pert, test_set, direction)
+            raw = attacked - recon
             inside = np.abs(raw[:, mask]).sum() / np.abs(raw).sum()
             assert inside >= 0.6
 

@@ -1,11 +1,15 @@
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentpoison.attack import Perturbation
 from latentpoison.checkpoint import (
+    _FIELDS,
     CheckpointError,
     CheckpointHashError,
     CheckpointKindError,
@@ -17,14 +21,24 @@ from latentpoison.checkpoint import (
 from latentpoison.models import ClassifierParams, VaeParams
 
 
+def _artifact(kind):
+    if kind == "vae":
+        return VaeParams.initialize(16, 4, np.random.default_rng(0), hidden=(8, 6))
+    if kind == "classifier":
+        return ClassifierParams.initialize(16, np.random.default_rng(1), role="eval", hidden=(8,))
+    rng = np.random.default_rng(2)
+    return Perturbation(rng.standard_normal(4), 1, "additive", 0.01, "poisoning",
+                        delta_reverse=rng.standard_normal(4))
+
+
 @pytest.fixture
 def vae():
-    return VaeParams.initialize(16, 4, np.random.default_rng(0), hidden=(8, 6))
+    return _artifact("vae")
 
 
 @pytest.fixture
 def classifier():
-    return ClassifierParams.initialize(16, np.random.default_rng(1), role="eval", hidden=(8,))
+    return _artifact("classifier")
 
 
 @pytest.fixture
@@ -166,6 +180,14 @@ class TestMalformedDescriptor:
         with pytest.raises(CheckpointError, match=rf"dz\.ckpt.*{field}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_reg_weight(self, tmp_path, perturbation, value):
+        path = tmp_path / "dz.ckpt"
+        save_checkpoint(perturbation, path)
+        _rewrite_descriptor(path, lambda desc: desc.update({"reg_weight": value}))
+        with pytest.raises(CheckpointError, match=r"dz\.ckpt.*reg_weight must be finite"):
+            load_checkpoint(path)
+
     def test_layout_disagreeing_with_payload_is_not_truncation(self, tmp_path, classifier):
         path = tmp_path / "clf.ckpt"
         save_checkpoint(classifier, path)
@@ -209,6 +231,14 @@ class TestCorruption:
         with pytest.raises(CheckpointTruncatedError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("extra", [b"\x00", bytes(range(8))])
+    def test_appended_bytes_detected(self, tmp_path, perturbation, extra):
+        path = tmp_path / "dz.ckpt"
+        save_checkpoint(perturbation, path)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(CheckpointError, match=rf"dz\.ckpt: {len(extra)} bytes after the hash"):
+            load_checkpoint(path)
+
     def test_unsupported_version_detected(self, tmp_path, perturbation):
         path = tmp_path / "dz.ckpt"
         save_checkpoint(perturbation, path)
@@ -233,3 +263,97 @@ class TestCorruption:
     def test_unknown_artifact_type_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="cannot checkpoint"):
             save_checkpoint({"weights": 1}, tmp_path / "x.ckpt")
+
+
+def _wrong_value(json_type):
+    """A JSON value the descriptor field of this type must reject."""
+    return 1 if json_type in (str, bool) else True
+
+
+@pytest.mark.parametrize("kind, field", [(k, f) for k, fields in _FIELDS.items() for f in fields])
+@pytest.mark.parametrize("edit", ["missing", "null", "mistyped"])
+def test_every_descriptor_field_is_checked(tmp_path, kind, field, edit):
+    path = tmp_path / f"{kind}.ckpt"
+    save_checkpoint(_artifact(kind), path)
+    if edit == "missing":
+        _rewrite_descriptor(path, lambda desc: desc.pop(field))
+    else:
+        value = None if edit == "null" else _wrong_value(_FIELDS[kind][field])
+        _rewrite_descriptor(path, lambda desc: desc.update({field: value}))
+    with pytest.raises(CheckpointError, match=rf"{kind}\.ckpt: descriptor .*'{field}'"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """Each kind's checkpoint bytes, and a scratch path the fuzz tests overwrite."""
+    out = tmp_path_factory.mktemp("fuzz")
+    blobs = {}
+    for kind in _FIELDS:
+        save_checkpoint(_artifact(kind), out / "x.ckpt", config={"seed": 1})
+        blobs[kind] = (out / "x.ckpt").read_bytes()
+    return blobs, out / "x.ckpt"
+
+
+def _load_or_reject(path):
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+KINDS = st.sampled_from(sorted(_FIELDS))
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400), st.floats(),
+    st.text(max_size=6), st.lists(st.integers(-2, 40), max_size=3),
+    st.sampled_from(["attack", "eval", "additive", "multiplicative", "independent"]),
+)
+
+
+class TestFuzz:
+    """Damaged checkpoints load or raise CheckpointError; no other exception escapes."""
+
+    @given(KINDS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_flips(self, saved, kind, data):
+        blobs, path = saved
+        blob = bytearray(blobs[kind])
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(blob))
+        _load_or_reject(path)
+
+    @given(KINDS, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncations(self, saved, kind, data):
+        blobs, path = saved
+        path.write_bytes(blobs[kind][: data.draw(st.integers(0, len(blobs[kind]) - 1))])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @given(KINDS, st.binary(min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_appended_bytes(self, saved, kind, extra):
+        blobs, path = saved
+        path.write_bytes(blobs[kind] + extra)
+        with pytest.raises(CheckpointError, match="bytes after the hash"):
+            load_checkpoint(path)
+
+    @given(KINDS, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_descriptor_edits(self, saved, kind, data):
+        blobs, path = saved
+        edits = data.draw(st.dictionaries(st.sampled_from(sorted(_FIELDS[kind])),
+                                          st.one_of(st.just("missing"), JSON_VALUES),
+                                          min_size=1))
+
+        def edit(desc):
+            for field, value in edits.items():
+                if value == "missing":
+                    desc.pop(field)
+                else:
+                    desc[field] = value
+
+        path.write_bytes(blobs[kind])
+        _rewrite_descriptor(path, edit)
+        _load_or_reject(path)

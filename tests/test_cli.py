@@ -1,6 +1,6 @@
 import pytest
 
-from latentpoison import attack
+from latentpoison import attack, cli
 from latentpoison.checkpoint import load_checkpoint
 from latentpoison.cli import _learn_attack_configs, build_parser, main
 from latentpoison.config import ConfigError
@@ -168,8 +168,33 @@ class TestLearnAttackConfigMerge:
             self._configs(tmp_path, "vae_batch_size = 32\n")
 
     def test_unknown_prefixed_key_is_an_error(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown configuration key 'bogus'"):
+        with pytest.raises(ConfigError, match="unknown configuration key 'vae_bogus'"):
             self._configs(tmp_path, "vae_bogus = 1\n")
+
+    def test_known_keys_are_the_ones_a_file_may_set(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            self._configs(tmp_path, "kl_weight = 0.2\n")
+        known = str(info.value).split("known keys: ")[1].split(", ")
+        assert "vae_kl_weight" in known and "epochs" in known and "vae_epochs" in known
+        assert "kl_weight" not in known and "vae_batch_size" not in known
+
+    @pytest.mark.parametrize("text, key", [
+        ("vae_bogus = 1\n", "vae_bogus"),
+        ("vae_batch_size = 8\n", "vae_batch_size"),
+        ("vae_epochs = x\n", "vae_epochs"),
+        ("random_init = maybe\n", "random_init"),
+    ], ids=["unknown", "fixed", "number", "boolean"])
+    def test_errors_name_the_file_and_the_key_as_written(self, tmp_path, text, key):
+        with pytest.raises(ConfigError, match=rf"attack\.cfg: .*'{key}'"):
+            self._configs(tmp_path, text)
+
+    @pytest.mark.parametrize("text, flags", [
+        ("lr = -1\n", ["--lr", "0.1"]),
+        ("vae_lr = -1\n", ["--vae-lr", "0.1"]),
+    ], ids=["attack", "vae"])
+    def test_a_flag_beats_an_invalid_file_value(self, tmp_path, text, flags):
+        attack, vae = self._configs(tmp_path, text, *flags)
+        assert (attack.lr if flags[0] == "--lr" else vae.lr) == 0.1
 
     @pytest.mark.parametrize("given", ["flag", "file"])
     def test_sweep_rejects_a_reg_weight(self, tmp_path, capsys, given):
@@ -402,6 +427,37 @@ class TestRender:
         assert out.exists()
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("a rejected run must not train")
+
+
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("learn-attack", "--reg-weight", "nan", "reg_weight"),
+    ("learn-attack", "--lr", "inf", "lr"),
+    ("learn-attack", "--kl-weight", "nan", "kl_weight"),
+    ("run-grid", "--reg-weight", "nan", "reg_weight"),
+    ("run-grid", "--recon-class-weight", "inf", "recon_class_weight"),
+])
+def test_non_finite_setting_rejected_before_training(
+    data_dir, tmp_path, capsys, monkeypatch, command, flag, value, field
+):
+    for name in ("train_classifier", "train_vae", "_train"):
+        monkeypatch.setattr(attack, name, _no_training)
+    monkeypatch.setattr(cli, "run_experiment", _no_training)
+    out = tmp_path / "out"
+    if command == "learn-attack":
+        args = ["learn-attack", "--mode", "poisoning", *_train_args(data_dir, []),
+                "--out-dir", str(out), "--epochs", "1", "--vae-epochs", "1"]
+    else:
+        args = ["run-grid", "--out-dir", str(out), *TINY_GRID]
+    code = main([*args, flag, value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field} must be finite, got {float(value)}\n"
+    assert not out.exists()
+
+
 TINY_GRID = [
     "--sample-count", "60", "--width", "8", "--height", "8",
     "--test-count", "20", "--vae-epochs", "2", "--attack-epochs", "2",
@@ -434,21 +490,45 @@ class TestRunGrid:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["split", "out-dir-is-a-file"])
-    def test_failed_stage_is_an_error_not_a_traceback(self, tmp_path, capsys, case):
+    def test_failed_stage_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch, case):
         out = tmp_path / "out"
         if case == "split":
             flags = [*TINY_GRID, "--test-count", "60"]  # the whole set: nothing left to train on
-            stage = "data"
+            expected = "error: stage 'data' failed: "
         else:
             out.write_text("")
             flags = TINY_GRID
-            stage = "write-outputs"
+            expected = f"error: --out-dir {out}: {out} is not a directory"
+            monkeypatch.setattr(cli, "run_experiment", _no_training)
         code = main(["run-grid", "--out-dir", str(out), *flags])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: stage '{stage}' failed: ")
+        assert err.startswith(expected)
         assert "Traceback" not in err
         assert not out.is_dir()
+
+    def test_out_dir_under_a_file_is_rejected_before_any_plan(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(cli, "run_experiment", _no_training)
+        code = main(["run-grid", "--out-dir", str(blocker / "sub" / "out"), *TINY_GRID])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --out-dir {blocker / 'sub' / 'out'}: {blocker} is not a directory\n"
+        )
+
+    def test_fixed_keys_are_not_listed_as_known(self, tmp_path, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text("bogus = 1\n")
+        code = main(["run-grid", "--out-dir", str(tmp_path / "out"), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: unknown configuration key 'bogus'; known keys: ")
+        known = err.strip().split("known keys: ")[1].split(", ")
+        assert "reg_weight" in known
+        assert not {"mode", "family", "norm_order", "out_dir"} & set(known)
 
     @pytest.mark.parametrize("key", ["mode", "family", "norm_order", "out_dir"])
     def test_config_keys_fixed_by_the_grid_are_errors(self, tmp_path, capsys, key):

@@ -1,0 +1,47 @@
+import argparse
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latentpoison.config import ConfigError, merge_settings, parse_config_text
+
+
+@given(st.text(max_size=200))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_text_parses_or_raises_config_error(text):
+    try:
+        values = parse_config_text(text, origin="fuzz.cfg")
+    except ConfigError as exc:
+        assert str(exc).startswith("fuzz.cfg:")
+    else:
+        assert all(isinstance(k, str) and k for k in values)
+
+
+@dataclass
+class _Part:
+    steps: int = 1
+    rate: float = 0.5
+    on: bool = False
+
+
+def _merge(file_values, fixed=(), **flags):
+    parts = [(_Part(), ""), (_Part(), "b_")]
+    return merge_settings(parts, "x.cfg", file_values, argparse.Namespace(**flags), fixed)
+
+
+class TestMergeSettings:
+    def test_file_values_are_coerced_per_part(self):
+        a, b = _merge({"steps": "3", "b_rate": "0.25", "b_on": "yes"})
+        assert (a, b) == (_Part(steps=3), _Part(rate=0.25, on=True))
+
+    def test_flags_beat_file_values(self):
+        a, b = _merge({"steps": "3", "b_steps": "4"}, steps=7, b_steps=None)
+        assert (a.steps, b.steps) == (7, 4)
+
+    def test_fixed_names_keep_the_template_value(self):
+        with pytest.raises(ConfigError, match="^x.cfg: key 'b_steps' is fixed by this command$"):
+            _merge({"b_steps": "2"}, fixed=("b_steps",))
+        _, b = _merge({}, fixed=("b_steps",), b_steps=9)
+        assert b.steps == 1

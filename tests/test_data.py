@@ -10,6 +10,7 @@ from latentpoison.data import (
     IDX_LABEL_MAGIC,
     Dataset,
     IdxCountMismatchError,
+    IdxFormatError,
     IdxMagicError,
     IdxTruncatedError,
     feature_mask,
@@ -132,6 +133,13 @@ class TestIdx:
         with pytest.raises(IdxTruncatedError, match="pixels"):
             load_idx(img, lbl, positive_labels={1})
 
+    def test_header_sizes_checked_before_any_read(self, tmp_path):
+        # declares 0xFFFFFFFF images of 0xFFFF x 0xFFFF pixels in a 16-byte file
+        img, lbl = _write_idx_pair(tmp_path, [], [], 0, 0)
+        img.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0xFFFFFFFF, 0xFFFF, 0xFFFF))
+        with pytest.raises(IdxTruncatedError, match=r"img\.idx: expected \d+ bytes for pixels"):
+            load_idx(img, lbl, positive_labels={1})
+
     def test_count_mismatch(self, tmp_path):
         image_path = tmp_path / "img.idx"
         label_path = tmp_path / "lbl.idx"
@@ -196,3 +204,51 @@ class TestSplit:
         )
         with pytest.raises(ValueError, match="non-empty"):
             split(lopsided, 6, seed=0)
+
+
+def _fuzz_pair(tmp_path_factory, image: bytes, labels: bytes):
+    """Write an IDX pair to one reused scratch directory and return the two paths."""
+    out = tmp_path_factory.getbasetemp() / "idx-fuzz"
+    out.mkdir(exist_ok=True)
+    (out / "img.idx").write_bytes(image)
+    (out / "lbl.idx").write_bytes(labels)
+    return out / "img.idx", out / "lbl.idx"
+
+
+def _idx_pair_bytes(count: int = 20) -> tuple[bytes, bytes]:
+    data = generate_synthetic(count, 8, 8, seed=2)
+    pixels = np.rint(data.images * 255.0).astype(np.uint8).tobytes()
+    return (
+        struct.pack(">IIII", IDX_IMAGE_MAGIC, count, 8, 8) + pixels,
+        struct.pack(">II", IDX_LABEL_MAGIC, count) + data.labels.astype(np.uint8).tobytes(),
+    )
+
+
+class TestIdxFuzz:
+    """Edits and truncations of an IDX pair load or raise IdxFormatError; nothing else escapes."""
+
+    PAIR = _idx_pair_bytes()
+    HEADER_SIZES = (16, 8)
+
+    @given(st.sampled_from([0, 1]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_byte_edits(self, tmp_path_factory, which, data):
+        pair = list(self.PAIR)
+        blob = bytearray(pair[which])
+        for _ in range(data.draw(st.integers(1, 4))):
+            # half the edits land in the header, where the sizes are declared
+            end = data.draw(st.sampled_from([self.HEADER_SIZES[which], len(blob)]))
+            blob[data.draw(st.integers(0, end - 1))] = data.draw(st.integers(0, 255))
+        pair[which] = bytes(blob)
+        try:
+            load_idx(*_fuzz_pair(tmp_path_factory, *pair), positive_labels={1})
+        except IdxFormatError:
+            pass
+
+    @given(st.sampled_from([0, 1]), st.integers(0, len(PAIR[0]) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_truncations(self, tmp_path_factory, which, length):
+        pair = list(self.PAIR)
+        pair[which] = pair[which][: min(length, len(pair[which]) - 1)]
+        with pytest.raises(IdxFormatError):
+            load_idx(*_fuzz_pair(tmp_path_factory, *pair), positive_labels={1})

@@ -21,8 +21,8 @@ from latentpoison.evaluation import (
     detection_probability,
     epsilon_gap,
     evaluate_attack,
-    pixel_diff,
     sparsity_profile,
+    unit_range,
 )
 from latentpoison.models import decode, encode_mean
 
@@ -188,22 +188,29 @@ class TestSparsityProfile:
 
 
 class TestPixelDiff:
+    """The pixel change plans render: a direction's attacked decodes minus its reconstructions."""
+
+    @staticmethod
+    def _diff(vae, pert, data, direction):
+        _, recon, attacked = decoded_view(vae, pert, data, direction)
+        return attacked - recon
+
     def test_zero_perturbation_zero_difference(self, tiny_vae, tiny_data):
-        raw, scaled = pixel_diff(tiny_vae, _zero_perturbation(tiny_vae.latent_dim),
-                                 tiny_data, "0to1")
+        raw = self._diff(tiny_vae, _zero_perturbation(tiny_vae.latent_dim), tiny_data, "0to1")
         np.testing.assert_array_equal(raw, 0.0)
-        np.testing.assert_array_equal(scaled, 0.5)
+        np.testing.assert_array_equal(unit_range(raw), 0.5)
 
     def test_nonzero_perturbation_moves_pixels(self, tiny_vae, tiny_data):
         pert = Perturbation(np.full(tiny_vae.latent_dim, 0.5), 2, "additive", 0.0, "independent")
-        raw, scaled = pixel_diff(tiny_vae, pert, tiny_data, "1to0")
+        raw = self._diff(tiny_vae, pert, tiny_data, "1to0")
+        scaled = unit_range(raw)
         assert np.abs(raw).mean() > 0.0
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
 
     def test_direction_selects_source_class(self, tiny_vae, tiny_data):
         pert = _zero_perturbation(tiny_vae.latent_dim)
-        raw0, _ = pixel_diff(tiny_vae, pert, tiny_data, "0to1")
-        raw1, _ = pixel_diff(tiny_vae, pert, tiny_data, "1to0")
+        raw0 = self._diff(tiny_vae, pert, tiny_data, "0to1")
+        raw1 = self._diff(tiny_vae, pert, tiny_data, "1to0")
         assert raw0.shape[0] == len(tiny_data.class_indices(0))
         assert raw1.shape[0] == len(tiny_data.class_indices(1))
 
@@ -228,6 +235,11 @@ class TestDecodedView:
                 reference = apply_additive(z, vector, direction)
             _, _, attacked = decoded_view(tiny_vae, pert, tiny_data, direction)
             assert attacked.tobytes() == decode(reference, tiny_vae).data.tobytes()
+
+    def test_unknown_direction_rejected(self, tiny_vae, tiny_data):
+        pert = _zero_perturbation(tiny_vae.latent_dim)
+        with pytest.raises(ValueError, match="'sideways'"):
+            decoded_view(tiny_vae, pert, tiny_data, "sideways")
 
 
 class TestEvaluateAttack:
