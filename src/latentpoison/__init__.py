@@ -6,6 +6,7 @@ from .attack import (
     apply_additive,
     apply_multiplicative,
     attack_loss,
+    learn_attack_frozen,
     learn_attack_independent,
     learn_attack_protocol,
 )

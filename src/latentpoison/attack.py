@@ -1,11 +1,13 @@
 """Learning a single constant latent perturbation that flips decoded classes.
 
 The paper's three protocols are the ``MODES``, and
-:func:`learn_attack_protocol` is their one entry point:
+:func:`learn_attack_protocol` is their one entry point; every protocol
+learns its perturbations in one :func:`_learn_attacks` run:
 
 * independent: the VAE and the attack classifier are trained first and
-  then frozen; only the perturbation is optimized against them
-  (:func:`learn_attack_independent`).
+  then frozen; only the perturbations are optimized against them, on
+  latent means encoded once (:func:`learn_attack_frozen`, which also
+  attacks networks loaded from checkpoints).
 * poisoning: the perturbation is optimized while the VAE itself trains,
   one VAE step and then one perturbation step per mini-batch.
 * poisoning+class: as poisoning, but the VAE objective additionally
@@ -229,12 +231,7 @@ def _latent_means(vae: VaeParams, images: np.ndarray, chunk: int) -> np.ndarray:
 
 def _attack_step(vae: VaeParams, classifier: ClassifierParams, labels: np.ndarray,
                  config: AttackConfig, codes) -> tuple[list[Tensor], tuple]:
-    """Freshly initialized perturbation vectors and their :func:`models._train` step.
-
-    ``codes(idx)`` returns the latent means of the batch's rows as a plain
-    array: cached means of a frozen VAE, or the means of a VAE that is
-    still training, read after its own step on the batch.
-    """
+    """Freshly initialized perturbation vectors and their :func:`models._train` step."""
     vectors = _init_deltas(vae.latent_dim, config)
 
     def batch_loss(idx, noise):
@@ -243,44 +240,58 @@ def _attack_step(vae: VaeParams, classifier: ClassifierParams, labels: np.ndarra
     return vectors, (config.epochs, Adam(vectors, config.lr), batch_loss)
 
 
-def _finish(vectors: list[Tensor], config: AttackConfig, provenance: str) -> Perturbation:
-    delta, *reverse = (vector.data.copy() for vector in vectors)
-    if config.family == "multiplicative" and np.all(delta >= 0.0):
-        warnings.warn(
-            "multiplicative perturbation has no negative entries, so no "
-            "latent sign can flip and no label swap is achievable",
-            stacklevel=3,
-        )
-    return Perturbation(
-        delta=delta,
-        norm_order=config.norm_order,
-        family=config.family,
-        reg_weight=config.reg_weight,
-        provenance=provenance,
-        delta_reverse=reverse[0] if reverse else None,
-    )
+def _learn_attacks(vae: VaeParams, classifier: ClassifierParams, labels: np.ndarray, configs,
+                   codes, lead: list, seed: int, batch_size: int, provenance: str) -> list:
+    """One perturbation per config, learned together in one :func:`models._train` call.
+
+    The one attack run of every protocol: on each batch of ``seed``'s order
+    the ``lead`` steps go first, then each config's step while its epochs
+    last. ``codes(idx)`` gives the batch's latent means as a plain array,
+    read once per batch, after the lead steps. Steps share no parameter,
+    so each perturbation is the one its config learns alone.
+    """
+    last = None, None  # the batch most recently read, and its codes
+
+    def batch_codes(idx):
+        nonlocal last
+        if last[0] is not idx:
+            last = idx, codes(idx)
+        return last[1]
+
+    attacks = [_attack_step(vae, classifier, labels, config, batch_codes) for config in configs]
+    _train(len(labels), batch_size, seed, [*lead, *(step for _, step in attacks)])
+    perturbations = []
+    for (vectors, _), config in zip(attacks, configs):
+        delta, *reverse = (vector.data.copy() for vector in vectors)
+        if config.family == "multiplicative" and np.all(delta >= 0.0):
+            warnings.warn(
+                "multiplicative perturbation has no negative entries, so no "
+                "latent sign can flip and no label swap is achievable",
+                stacklevel=3,
+            )
+        perturbations.append(Perturbation(
+            delta=delta,
+            norm_order=config.norm_order,
+            family=config.family,
+            reg_weight=config.reg_weight,
+            provenance=provenance,
+            delta_reverse=reverse[0] if reverse else None,
+        ))
+    return perturbations
 
 
-def learn_attack_independent(
-    vae: VaeParams,
-    classifier: ClassifierParams,
-    dataset: Dataset,
-    config: AttackConfig,
-) -> Perturbation:
-    """Optimize the perturbation against a frozen, pre-trained VAE and classifier.
+def learn_attack_frozen(vae: VaeParams, classifier: ClassifierParams, dataset: Dataset,
+                        *configs: AttackConfig) -> list[Perturbation]:
+    """One perturbation per config against a frozen, pre-trained VAE and classifier, in order.
 
-    The frozen encoder's latent means are computed once, in row order and
-    in chunks of ``config.batch_size`` rows. The perturbation is then the
-    one step of :func:`models._train`, with ``config.seed`` fixing the
-    batch order: each batch tampers with its cached means in the
-    direction chosen by each sample's label, decodes, and scores. Only the
-    perturbation is differentiated and updated; no gradient is computed
-    for VAE or classifier weights.
-
-    A cached row equals the row a per-batch encoding would give, except
-    where numpy multiplies a one-row batch (gemv rather than gemm), which
-    can differ in the last bit. So when ``len(dataset) % config.batch_size
-    == 1`` the result may differ from per-batch encoding by about 1e-16.
+    Configs that share ``(seed, batch_size)`` share one encoding and one
+    :func:`_learn_attacks` run. The frozen encoder's latent means are
+    computed once, in row order, ``batch_size`` rows at a time; ``seed``
+    fixes the batch order. Only the perturbations are differentiated and
+    updated, never a VAE or classifier weight. A cached row equals a
+    per-batch encoding's, except that numpy multiplies a one-row batch by
+    gemv, not gemm: when ``len(dataset) % batch_size == 1`` the result may
+    differ from per-batch encoding by about 1e-16.
 
     ``classifier`` must have the ``attack`` role: the ``eval`` classifier
     judges the result and never shapes it.
@@ -291,10 +302,20 @@ def learn_attack_independent(
             f"image widths disagree: vae {vae.image_dim}, classifier "
             f"{classifier.image_dim}, dataset {dataset.image_dim}"
         )
-    codes = _latent_means(vae, dataset.images, config.batch_size)
-    vectors, step = _attack_step(vae, classifier, dataset.labels, config, lambda idx: codes[idx])
-    _train(len(dataset), config.batch_size, config.seed, [step])
-    return _finish(vectors, config, "independent")
+    learned = {}
+    for key in dict.fromkeys((config.seed, config.batch_size) for config in configs):
+        group = [i for i, config in enumerate(configs) if (config.seed, config.batch_size) == key]
+        codes = _latent_means(vae, dataset.images, key[1])
+        learned |= zip(group, _learn_attacks(vae, classifier, dataset.labels,
+                                             [configs[i] for i in group], lambda idx: codes[idx],
+                                             [], *key, "independent"))
+    return [learned[i] for i in range(len(configs))]
+
+
+def learn_attack_independent(vae: VaeParams, classifier: ClassifierParams, dataset: Dataset,
+                             config: AttackConfig) -> Perturbation:
+    """:func:`learn_attack_frozen` for one config."""
+    return learn_attack_frozen(vae, classifier, dataset, config)[0]
 
 
 def learn_attack_protocol(
@@ -307,16 +328,16 @@ def learn_attack_protocol(
 
     The attack classifier comes first, once, on its role's sub-seed of
     ``vae_config.seed``. ``independent`` then trains the VAE alone and
-    attacks it frozen once per config. The poisoning modes ``_train`` the
-    VAE step and one perturbation step per config together on the VAE's
-    seed and batches, each for its own epochs; a batch's perturbation
-    steps share one encoding by the VAE as its step left it. VAE steps
-    never read a perturbation, so several configs share one VAE trajectory,
-    each perturbation is the one its config learns alone, and a plain
-    poisoning run reproduces :func:`models.train_vae` for the same config exactly.
-    ``poisoning+class`` adds the classifier's reconstruction term, weighted
-    by ``vae_config.recon_class_weight``, which must be positive there; the
-    other modes ignore that weight.
+    attacks it frozen with every config through :func:`learn_attack_frozen`.
+    The poisoning modes run the VAE step as the lead of one
+    :func:`_learn_attacks` run on the VAE's seed and batches; a batch's
+    perturbation steps share one encoding by the VAE as its step left it.
+    VAE steps never read a perturbation, so several configs share one VAE
+    trajectory, each perturbation is the one its config learns alone, and a
+    plain poisoning run reproduces :func:`models.train_vae` for the same
+    config exactly. ``poisoning+class`` adds the classifier's reconstruction
+    term, weighted by ``vae_config.recon_class_weight``, which must be
+    positive there; the other modes ignore that weight.
 
     Returns ``(vae, attack_classifier, *perturbations)`` in config order,
     the classifier ``None`` for ``poisoning``, whose VAE never sees it.
@@ -333,24 +354,10 @@ def learn_attack_protocol(
     classifier = train_classifier(dataset, _classifier_config(vae_config, "attack"), "attack")
     if mode == "independent":
         vae = train_vae(dataset, vae_config)
-        return vae, classifier, *(
-            learn_attack_independent(vae, classifier, dataset, config) for config in attack_configs
-        )
+        return vae, classifier, *learn_attack_frozen(vae, classifier, dataset, *attack_configs)
     vae, vae_step = _vae_step(dataset, vae_config, classifier if with_class_term else None)
-    last = None, None  # the batch most recently encoded, and its latent means
-
-    def batch_codes(idx):
-        nonlocal last
-        if last[0] is not idx:  # the first perturbation step of a batch, after the VAE's
-            last = idx, encode_mean(dataset.images[idx], vae)
-        return last[1]
-
-    attacks = [
-        _attack_step(vae, classifier, dataset.labels, config, batch_codes)
-        for config in attack_configs
-    ]
-    _train(len(dataset), vae_config.batch_size, vae_config.seed,
-           [vae_step, *(step for _, step in attacks)])
-    return vae, classifier if with_class_term else None, *(
-        _finish(vectors, config, mode) for (vectors, _), config in zip(attacks, attack_configs)
+    return vae, classifier if with_class_term else None, *_learn_attacks(
+        vae, classifier, dataset.labels, attack_configs,
+        lambda idx: encode_mean(dataset.images[idx], vae), [vae_step],
+        vae_config.seed, vae_config.batch_size, mode,
     )

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .attack import MODES, AttackConfig, learn_attack_independent, learn_attack_protocol
+from .attack import MODES, AttackConfig, learn_attack_frozen, learn_attack_protocol
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config_file, merge_settings
 from .data import generate_synthetic, load_idx, save_idx, split
@@ -172,7 +172,7 @@ def cmd_learn_attack(args) -> int:
         vae, _ = load_checkpoint(args.vae, expect_kind="vae")
         classifier, _ = load_checkpoint(args.classifier, expect_kind="classifier")
         networks = {}
-        perturbations = [learn_attack_independent(vae, classifier, dataset, cfg) for cfg in configs]
+        perturbations = learn_attack_frozen(vae, classifier, dataset, *configs)
     else:
         _echo("learn-attack.vae", vae_cfg)
         echo |= {f"vae_{k}": v for k, v in dataclasses.asdict(vae_cfg).items()}

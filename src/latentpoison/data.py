@@ -125,6 +125,15 @@ def _read_exact(handle, n: int, path, what: str) -> bytes:
     return handle.read(n)
 
 
+def _read_to_end(handle, n: int, path, what: str) -> bytes:
+    """The file's last ``n`` bytes: :func:`_read_exact`, and nothing may follow them."""
+    payload = _read_exact(handle, n, path, what)
+    extra = os.fstat(handle.fileno()).st_size - handle.tell()
+    if extra:
+        raise IdxFormatError(f"{path}: {extra} bytes after the {what}")
+    return payload
+
+
 def load_idx(image_path, label_path, positive_labels) -> Dataset:
     """Load an IDX image/label file pair and binarize the labels.
 
@@ -142,7 +151,7 @@ def load_idx(image_path, label_path, positive_labels) -> Dataset:
         count, height, width = struct.unpack(
             ">III", _read_exact(fh, 12, image_path, "dimensions")
         )
-        pixels = _read_exact(fh, count * height * width, image_path, "pixels")
+        pixels = _read_to_end(fh, count * height * width, image_path, "pixels")
     with open(label_path, "rb") as fh:
         (magic,) = struct.unpack(">I", _read_exact(fh, 4, label_path, "magic"))
         if magic != IDX_LABEL_MAGIC:
@@ -150,7 +159,7 @@ def load_idx(image_path, label_path, positive_labels) -> Dataset:
                 f"{label_path}: magic {magic:#010x}, expected {IDX_LABEL_MAGIC:#010x}"
             )
         (label_count,) = struct.unpack(">I", _read_exact(fh, 4, label_path, "count"))
-        raw_labels = _read_exact(fh, label_count, label_path, "labels")
+        raw_labels = _read_to_end(fh, label_count, label_path, "labels")
     if label_count != count:
         raise IdxCountMismatchError(
             f"{image_path} holds {count} images but {label_path} holds "

@@ -287,14 +287,21 @@ def _train(n: int, batch_size: int, seed: int, steps: list[tuple]) -> None:
     A step is an ``(epochs, optimizer, batch_loss)`` tuple. Each epoch draws
     the batch order and the latent noise from ``seed``; on every batch, each
     step with epochs left takes, in list order, one Adam step on
-    ``batch_loss(idx, noise)`` toward its own optimizer's parameters.
+    ``batch_loss(idx, noise)`` toward its own optimizer's parameters. A
+    non-finite loss is a ``ValueError`` naming its epoch and batch, from 1.
     """
     for epoch in range(max(epochs for epochs, _, _ in steps)):
         noise = stream(seed, LATENT_NOISE, epoch)
-        for idx in _epoch_batches(n, batch_size, stream(seed, SHUFFLE, epoch)):
+        batches = _epoch_batches(n, batch_size, stream(seed, SHUFFLE, epoch))
+        for batch, idx in enumerate(batches, 1):
             for epochs, optimizer, batch_loss in steps:
                 if epoch < epochs:
-                    ad.backward(batch_loss(idx, noise), optimizer.params)
+                    loss = batch_loss(idx, noise)
+                    if not np.isfinite(loss.data).all():
+                        raise ValueError(f"non-finite loss {loss.data} at epoch {epoch + 1}, "
+                                         f"batch {batch} of {len(batches)}")
+                    ad.backward(loss, optimizer.params)
+                    del loss  # free this graph before the next step builds its own
                     optimizer.step()
 
 

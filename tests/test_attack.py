@@ -322,6 +322,31 @@ class TestIndependentAttack:
             assert pert.delta_reverse.tobytes() == vectors[1].data.tobytes()
 
 
+    def test_mixed_configs_equal_separate_runs(
+        self, tiny_vae, tiny_classifiers, tiny_data, monkeypatch
+    ):
+        attack_clf, _ = tiny_classifiers
+        configs = [
+            AttackConfig(epochs=3, batch_size=16, seed=3),
+            AttackConfig(epochs=2, batch_size=7, seed=3, per_direction=True),
+            AttackConfig(epochs=1, batch_size=16, seed=3, norm_order=1),
+            AttackConfig(epochs=2, batch_size=16, seed=8, family="multiplicative",
+                         random_init=True),
+        ]
+        alone = [learn_attack_independent(tiny_vae, attack_clf, tiny_data, c) for c in configs]
+        encoded = []
+        original = attack._latent_means
+        monkeypatch.setattr(attack, "_latent_means", lambda vae, images, chunk: (
+            encoded.append(chunk), original(vae, images, chunk))[1])
+        together = attack.learn_attack_frozen(tiny_vae, attack_clf, tiny_data, *configs)
+        # one encoding per (seed, batch_size), in the order the pairs first appear
+        assert encoded == [16, 7, 16]
+        for config, pert, single in zip(configs, together, alone):
+            assert [v.tobytes() for v in pert.vectors] == [v.tobytes() for v in single.vectors]
+            assert (pert.family, pert.norm_order, pert.provenance) == (
+                config.family, config.norm_order, "independent")
+
+
 class TestPoisoningAttacks:
     def test_zero_attack_epochs_decouples(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=2)
@@ -493,12 +518,22 @@ class TestLearnAttackProtocol:
             return original(x, vae)
 
         monkeypatch.setattr(attack, "encode_mean", counted)
+        runs = []  # the number of steps of each _train call the attack makes
+        train = attack._train
+        monkeypatch.setattr(attack, "_train", lambda n, batch_size, seed, steps: (
+            runs.append(len(steps)), train(n, batch_size, seed, steps)))
         vae_config = dataclasses.replace(tiny_config, epochs=1, batch_size=16)
         configs = [AttackConfig(epochs=1, batch_size=16, reg_weight=weight)
                    for weight in (0.001, 0.01, 0.1, 1.0)]
-        learn_attack_protocol("poisoning", data, vae_config, *configs)
-        # four batches, each encoded once for all four perturbation steps
-        assert encoded == [16, 16, 16, 16]
+        for mode, steps in (("poisoning", 5), ("independent", 4)):
+            encoded.clear()
+            runs.clear()
+            learn_attack_protocol(mode, data, vae_config, *configs)
+            # four batches, each encoded once for all four perturbation steps:
+            # after each VAE step when poisoning, once up front when independent
+            assert encoded == [16, 16, 16, 16], mode
+            # one run for every perturbation, led by the VAE's step when poisoning
+            assert runs == [steps], mode
 
 
 def test_multiplicative_all_nonnegative_warns(tiny_vae, tiny_classifiers, tiny_data):

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -244,6 +245,32 @@ class TestIdxFuzz:
             load_idx(*_fuzz_pair(tmp_path_factory, *pair), positive_labels={1})
         except IdxFormatError:
             pass
+
+    @given(st.sampled_from([0, 1]), st.binary(min_size=1, max_size=64))
+    @settings(max_examples=60, deadline=None)
+    def test_appended_bytes(self, tmp_path_factory, which, tail):
+        pair = list(self.PAIR)
+        pair[which] += tail
+        paths = _fuzz_pair(tmp_path_factory, *pair)
+        with pytest.raises(IdxFormatError, match=re.escape(f"{paths[which]}: {len(tail)} bytes")):
+            load_idx(*paths, positive_labels={1})
+
+    @pytest.mark.parametrize("image_extra, label_extra", [(7, 3), (7, 0), (0, 3), (0, 0)])
+    def test_appended_bytes_of_a_split(self, tmp_path, image_extra, label_extra):
+        data = generate_synthetic(40, 8, 8, seed=2)
+        img, lbl = tmp_path / "test-images.idx", tmp_path / "test-labels.idx"
+        save_idx(data, img, lbl)
+        img.write_bytes(img.read_bytes() + bytes(image_extra))
+        lbl.write_bytes(lbl.read_bytes() + bytes(label_extra))
+        if image_extra or label_extra:
+            # the image file is read first, so it is the one named when both have extra bytes
+            path, extra, what = (img, image_extra, "pixels") if image_extra else (
+                lbl, label_extra, "labels")
+            message = re.escape(f"{path}: {extra} bytes after the {what}")
+            with pytest.raises(IdxFormatError, match=message):
+                load_idx(img, lbl, positive_labels={1})
+        else:
+            assert len(load_idx(img, lbl, positive_labels={1})) == 40
 
     @given(st.sampled_from([0, 1]), st.integers(0, len(PAIR[0]) - 1))
     @settings(max_examples=60, deadline=None)

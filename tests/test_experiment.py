@@ -107,6 +107,14 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match="stage 'data'"):
             run_experiment(plan)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_diverging_loss_names_stage_epoch_and_batch(self, tmp_path, mode):
+        # the VAE's first step at this lr makes the second batch's loss NaN
+        plan = _tiny_plan(tmp_path, mode=mode, lr=1e10)
+        message = r"^stage 'learn-attack' failed: non-finite loss nan at epoch 1, batch 2 of 3$"
+        with np.errstate(all="ignore"), pytest.raises(ExperimentError, match=message):
+            run_experiment(plan)
+
 
 class TestClassifierSeedRule:
     """Each classifier role has one seed rule, whichever mode trains it."""

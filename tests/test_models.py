@@ -245,6 +245,18 @@ class TestTrainVae:
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
 
+    def test_diverging_loss_names_epoch_and_batch(self, tiny_data, monkeypatch):
+        config = TrainConfig(epochs=3, batch_size=16, latent_dim=4, lr=1e10, seed=1)
+        differentiated = []  # every loss backward was given
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda loss, params: (
+            differentiated.append(loss.data.item()), backward(loss, params)))
+        message = r"^non-finite loss nan at epoch 1, batch 2 of 4$"
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            train_vae(tiny_data, config)
+        # the first step threw the weights out; the second batch's loss stops the run
+        assert len(differentiated) == 1 and np.isfinite(differentiated[0])
+
     def test_objective_non_increasing_over_epochs(self, tiny_data):
         # same seed means longer runs share the shorter runs' trajectory,
         # so the per-epoch losses can be read off checkpoints at k epochs
