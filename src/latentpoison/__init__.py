@@ -3,12 +3,11 @@
 from .attack import (
     AttackConfig,
     Perturbation,
-    apply_additive,
-    apply_multiplicative,
     attack_loss,
     learn_attack_frozen,
     learn_attack_independent,
     learn_attack_protocol,
+    tamper,
 )
 from .autodiff import (
     Adam,

@@ -14,13 +14,14 @@ learns its perturbations in one :func:`_learn_attacks` run:
   rewards reconstructions the (frozen) attack classifier labels correctly,
   which sharpens class information in the latent space.
 
-The perturbation is one vector applied identically to every encoding:
-added for the 0-to-1 direction and subtracted for 1-to-0 (additive
-family, optionally with a second vector for 1-to-0), or combined as
+The perturbation is one vector applied identically to every encoding by
+:func:`tamper`, the one rule for training and evaluation: added to
+class-0 codes and subtracted from class-1 codes (additive family,
+optionally with a second vector for 1-to-0), or combined as
 z * (1 + delta) (multiplicative family, one form for both directions).
-Optimization minimizes cross-entropy of classifier scores on decoded
-tampered encodings against the flipped labels, plus an L1 or L2
-penalty on each vector.
+Optimization minimizes :func:`attack_loss`: cross-entropy of classifier
+scores on decoded tampered encodings against the flipped labels, plus an
+L1 or L2 penalty on each vector.
 """
 
 from __future__ import annotations
@@ -133,41 +134,38 @@ class Perturbation:
         return self.delta.shape[0]
 
 
-def _operands(z, delta):
-    """Plain operands as float64 arrays; z becomes a tensor when delta is one."""
-    if not isinstance(z, Tensor):
-        z = Tensor(z) if isinstance(delta, Tensor) else np.asarray(z, dtype=np.float64)
-    if not isinstance(delta, Tensor):
-        delta = np.asarray(delta, dtype=np.float64)
-    if z.shape[-1] != delta.shape[-1]:
-        raise ShapeMismatchError(
-            f"latent width {z.shape[-1]} vs perturbation width {delta.shape[-1]}"
-        )
-    return z, delta
+def tamper(codes, labels, vectors, family: str) -> Tensor:
+    """Each code moved toward the other class of its label, as one graph tensor.
 
-
-def apply_additive(z, delta, direction: str):
-    """Shift encodings: z + delta for direction "0to1", z - delta for "1to0".
-
-    Accepts arrays or graph tensors; with tensors, gradients flow to both
-    operands.
+    The one perturbation rule, for training and evaluation alike. Additive:
+    label-0 codes get ``+delta``, label-1 codes ``-delta``, or
+    ``-delta_reverse`` when given. Multiplicative: every code becomes
+    z * (1 + delta). ``codes`` and ``vectors`` (:attr:`Perturbation.vectors`)
+    may be arrays or tensors; gradients flow to every tensor among them.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    z, delta = _operands(z, delta)
-    return z + delta if direction == "0to1" else z - delta
+    labels, width = np.asarray(labels), np.shape(codes)[-1]
+    for vector in vectors:
+        if np.shape(vector)[-1] != width:
+            raise ShapeMismatchError(
+                f"latent width {width} vs perturbation width {np.shape(vector)[-1]}"
+            )
+    if family == "multiplicative":
+        return ad.mul(codes, ad.add(vectors[0], 1.0))
+    if len(vectors) == 1:
+        # +delta where the label is 0, -delta where it is 1
+        return ad.add(codes, ad.mul((1.0 - 2.0 * labels).reshape(-1, 1), vectors[0]))
+    up = (labels == 0).astype(np.float64).reshape(-1, 1)
+    down = (labels == 1).astype(np.float64).reshape(-1, 1)
+    return ad.sub(ad.add(codes, ad.mul(up, vectors[0])), ad.mul(down, vectors[1]))
 
 
-def apply_multiplicative(z, delta):
-    """Gate encodings elementwise: z * (1 + delta), same form for both directions."""
-    z, delta = _operands(z, delta)
-    return z * (delta + 1.0)
-
-
-def attack_loss(scores: Tensor, labels, delta, norm_order: int, reg_weight: float) -> Tensor:
-    """Cross-entropy toward flipped labels plus the norm penalty on delta."""
+def attack_loss(scores: Tensor, labels, vectors, norm_order: int, reg_weight: float) -> Tensor:
+    """Cross-entropy toward flipped labels plus the norm penalty on each vector, in order."""
     targets = 1.0 - np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    return ad.bce(scores, targets) + reg_weight * ad.lp_penalty(delta, norm_order)
+    loss = ad.bce(scores, targets)
+    for vector in vectors:
+        loss = loss + reg_weight * ad.lp_penalty(vector, norm_order)
+    return loss
 
 
 def _init_deltas(latent_dim: int, config: AttackConfig) -> list[Tensor]:
@@ -178,24 +176,6 @@ def _init_deltas(latent_dim: int, config: AttackConfig) -> list[Tensor]:
                name=name)
         for name in Perturbation._VECTOR_NAMES[: 2 if config.per_direction else 1]
     ]
-
-
-def _tampered_codes(codes: np.ndarray, labels: np.ndarray, vectors, family: str) -> Tensor:
-    """Each code tampered in its own label's direction, as one graph tensor.
-
-    The one home of that rule, for training and evaluation alike;
-    ``vectors`` are :attr:`Perturbation.vectors`, as arrays or tensors.
-    """
-    if family == "multiplicative":
-        return apply_multiplicative(codes, vectors[0])
-    if len(vectors) == 1:
-        # +delta where the label is 0, -delta where it is 1
-        sign = Tensor((1.0 - 2.0 * labels).reshape(-1, 1))
-        return apply_additive(codes, sign * vectors[0], "0to1")
-    delta, reverse = vectors
-    up = Tensor((labels == 0).astype(np.float64).reshape(-1, 1))
-    down = Tensor((labels == 1).astype(np.float64).reshape(-1, 1))
-    return apply_additive(apply_additive(codes, up * delta, "0to1"), down * reverse, "1to0")
 
 
 def _attack_batch_loss(
@@ -211,12 +191,8 @@ def _attack_batch_loss(
     The codes are constants of the graph: only the decoder, the classifier
     and the perturbation lie between them and the loss.
     """
-    tampered = _tampered_codes(codes, labels, vectors, config.family)
-    scores = classify(decode(tampered, vae), classifier)
-    loss = attack_loss(scores, labels, vectors[0], config.norm_order, config.reg_weight)
-    for vector in vectors[1:]:
-        loss = loss + config.reg_weight * ad.lp_penalty(vector, config.norm_order)
-    return loss
+    scores = classify(decode(tamper(codes, labels, vectors, config.family), vae), classifier)
+    return attack_loss(scores, labels, vectors, config.norm_order, config.reg_weight)
 
 
 def _latent_means(vae: VaeParams, images: np.ndarray, chunk: int) -> np.ndarray:

@@ -170,8 +170,10 @@ def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = np.clip(out, _SIG_FLOOR, _SIG_CEIL)
+    # 1 where x >= 0 (there e <= 1), else e; NaN stays NaN; 0-d inputs stay arrays
+    out = np.maximum(e, x >= 0, out=np.empty_like(e))
+    out /= 1.0 + e
+    np.clip(out, _SIG_FLOOR, _SIG_CEIL, out=out)
     return Tensor(out, _parents=(a,), _backward=(lambda g: g * out * (1.0 - out),))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import DIRECTIONS, Perturbation, _tampered_codes
+from .attack import DIRECTIONS, Perturbation, tamper
 from .data import Dataset
 from .models import ClassifierParams, VaeParams, _require_role, classify, decode, encode_mean
 
@@ -86,8 +86,7 @@ def decoded_view(vae: VaeParams, perturbation: Perturbation, test_set: Dataset,
     if len(x) == 0:
         raise ValueError(f"test set must contain both classes, has no class-{source_label} samples")
     z = encode_mean(x, vae)
-    tampered = _tampered_codes(z, np.full(len(x), source_label), perturbation.vectors,
-                               perturbation.family)
+    tampered = tamper(z, np.full(len(x), source_label), perturbation.vectors, perturbation.family)
     return x, decode(z, vae).data, decode(tampered, vae).data
 
 

@@ -306,16 +306,35 @@ def _train(n: int, batch_size: int, seed: int, steps: list[tuple]) -> None:
 
 
 def train_classifier(dataset: Dataset, config: TrainConfig, role: str) -> ClassifierParams:
-    """Fit a binary classifier with Adam; same config and seed, same parameters."""
+    """Fit a binary classifier with Adam; same config and seed, same parameters.
+
+    A batch whose predictions are all clamped by :func:`autodiff.bce`, some
+    on the wrong side, has a zero gradient, so training could never recover:
+    that is a ``ValueError`` naming its epoch and batch, from 1.
+    """
     if len(dataset.class_indices(0)) == 0 or len(dataset.class_indices(1)) == 0:
         raise ValueError("train_classifier requires samples from both classes")
     params = ClassifierParams.initialize(
         dataset.image_dim, stream(config.seed, PARAM_INIT), role
     )
     targets = _label_column(dataset.labels)
+    batches = -(-len(dataset) // config.batch_size)
+    calls = 0
 
     def batch_loss(idx, noise):
-        return ad.bce(classify(dataset.images[idx], params), targets[idx])
+        nonlocal calls
+        epoch, batch = divmod(calls, batches)
+        calls += 1
+        scores, t = classify(dataset.images[idx], params), targets[idx]
+        p = scores.data
+        wrong = int(((p > 0.5) != (t == 1)).sum())
+        if wrong and ((p < ad.BCE_CLAMP) | (p > 1.0 - ad.BCE_CLAMP)).all():
+            raise ValueError(
+                f"saturated classifier at epoch {epoch + 1}, batch {batch + 1} of {batches}: "
+                f"every prediction is clamped and {wrong} of {len(p)} are wrong, "
+                f"so the gradient is zero"
+            )
+        return ad.bce(scores, t)
 
     step = (config.epochs, Adam(params.parameters(), config.lr), batch_loss)
     _train(len(dataset), config.batch_size, config.seed, [step])

@@ -13,9 +13,8 @@ import numpy as np
 from latentpoison import autodiff as ad
 from latentpoison.attack import (
     Perturbation,
-    apply_additive,
-    apply_multiplicative,
     attack_loss,
+    tamper,
 )
 from latentpoison.autodiff import Tensor, grad_check
 from latentpoison.checkpoint import (
@@ -95,7 +94,7 @@ def _build_attack_objective(norm_order):
             mu, _ = encode(Tensor(x), vae)
             tampered = mu + sign * delta
             scores = classify(decode(tampered, vae), clf)
-            return attack_loss(scores, labels, delta, norm_order, 0.01)
+            return attack_loss(scores, labels, [delta], norm_order, 0.01)
 
         return loss_fn, [delta] + vae.parameters() + clf.parameters()
 
@@ -267,10 +266,11 @@ def test_criterion_07_transform_algebra():
     rng = np.random.default_rng(99)
     latents = rng.integers(-(2**28), 2**28, size=(1000, 32)) * lattice
     delta = rng.integers(-(2**28), 2**28, size=32) * lattice
-    forward = apply_additive(latents, delta, "0to1")
-    recovered = apply_additive(forward, delta, "1to0")
-    additive_ok = np.array_equal(recovered, latents)
-    identity_ok = np.array_equal(apply_multiplicative(latents, np.zeros(32)), latents)
+    forward = tamper(latents, np.zeros(1000), [delta], "additive")  # label 0: "0to1"
+    recovered = tamper(forward, np.ones(1000), [delta], "additive")  # label 1: "1to0"
+    additive_ok = np.array_equal(recovered.data, latents)
+    identity = tamper(latents, np.zeros(1000), [np.zeros(32)], "multiplicative")
+    identity_ok = np.array_equal(identity.data, latents)
     elapsed = time.perf_counter() - start
     ok = additive_ok and identity_ok and elapsed < 1.0
     _verdict(

@@ -14,12 +14,10 @@ from latentpoison.attack import (
     _attack_batch_loss,
     _init_deltas,
     _latent_means,
-    _tampered_codes,
-    apply_additive,
-    apply_multiplicative,
     attack_loss,
     learn_attack_independent,
     learn_attack_protocol,
+    tamper,
 )
 from latentpoison.autodiff import ShapeMismatchError, Tensor
 from latentpoison.models import (
@@ -47,32 +45,34 @@ lattice_vectors = hnp.arrays(
 
 
 class TestAdditiveTransform:
+    # label 0 codes move "0to1" (+delta), label 1 codes move "1to0" (-delta)
     def test_zero_delta_is_identity(self):
         z = np.array([[0.3, -0.7]])
-        out = apply_additive(z, np.zeros(2), "0to1")
-        np.testing.assert_array_equal(out, z)
+        out = tamper(z, [0], [np.zeros(2)], "additive")
+        np.testing.assert_array_equal(out.data, z)
 
     def test_directions(self):
         z = np.array([[0.0, 0.0]])
         delta = np.array([1.0, -1.0])
-        np.testing.assert_array_equal(apply_additive(z, delta, "0to1"), [[1.0, -1.0]])
-        np.testing.assert_array_equal(apply_additive(z, delta, "1to0"), [[-1.0, 1.0]])
+        np.testing.assert_array_equal(tamper(z, [0], [delta], "additive").data, [[1.0, -1.0]])
+        np.testing.assert_array_equal(tamper(z, [1], [delta], "additive").data, [[-1.0, 1.0]])
 
     def test_inverse_pair_bitwise_on_lattice(self):
         rng = np.random.default_rng(0)
         z = (rng.integers(-(2**28), 2**28, size=(1000, 8)) * LATTICE)
         delta = rng.integers(-(2**28), 2**28, size=8) * LATTICE
-        forward = apply_additive(z, delta, "0to1")
-        back = apply_additive(forward, delta, "1to0")
-        assert np.array_equal(back, z)
+        forward = tamper(z, np.zeros(1000), [delta], "additive")
+        back = tamper(forward, np.ones(1000), [delta], "additive")
+        assert np.array_equal(back.data, z)
 
     @given(lattice_vectors)
     @settings(max_examples=50)
     def test_inverse_property(self, vec):
         delta = np.linspace(-1, 1, vec.size) * 0.5  # multiples of small dyadics
         delta = np.round(delta / LATTICE) * LATTICE
-        roundtrip = apply_additive(apply_additive(vec, delta, "0to1"), delta, "1to0")
-        assert np.array_equal(roundtrip, vec)
+        z = vec.reshape(1, -1)
+        roundtrip = tamper(tamper(z, [0], [delta], "additive"), [1], [delta], "additive")
+        assert np.array_equal(roundtrip.data, z)
 
     def test_raw_doubles_round_trip_within_one_ulp_of_sum(self):
         # off the lattice each of the two roundings loses at most half an
@@ -80,28 +80,24 @@ class TestAdditiveTransform:
         rng = np.random.default_rng(1)
         z = rng.standard_normal((500, 8))
         delta = rng.standard_normal(8)
-        forward = apply_additive(z, delta, "0to1")
-        roundtrip = apply_additive(forward, delta, "1to0")
+        forward = tamper(z, np.zeros(500), [delta], "additive").data
+        roundtrip = tamper(forward, np.ones(500), [delta], "additive").data
         bound = np.spacing(np.maximum(np.abs(z), np.abs(forward)))
         assert np.all(np.abs(roundtrip - z) <= bound)
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeMismatchError, match="width"):
-            apply_additive(np.zeros((2, 3)), np.zeros(4), "0to1")
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError, match="direction"):
-            apply_additive(np.zeros((1, 2)), np.zeros(2), "up")
+        with pytest.raises(ShapeMismatchError, match="latent width 3 vs perturbation width 4"):
+            tamper(np.zeros((2, 3)), [0, 0], [np.zeros(4)], "additive")
 
     def test_tensor_path_gradients(self):
         z = Tensor(np.zeros((3, 2)))
         delta = Tensor(np.array([1.0, 2.0]))
-        ad.backward(apply_additive(z, delta, "1to0").sum(), [delta])
+        ad.backward(tamper(z, np.ones(3), [delta], "additive").sum(), [delta])
         np.testing.assert_array_equal(delta.grad, [-3.0, -3.0])
 
     @pytest.mark.parametrize("apply", [
-        lambda z, d: apply_additive(z, d, "0to1"),
-        lambda z, d: apply_multiplicative(z, d),
+        lambda z, d: tamper(z, np.zeros(len(z)), [d], "additive"),
+        lambda z, d: tamper(z, np.zeros(len(z)), [d], "multiplicative"),
     ])
     def test_array_codes_with_tensor_delta(self, apply):
         delta = Tensor(np.array([1.0, 2.0]))
@@ -114,18 +110,76 @@ class TestAdditiveTransform:
 class TestMultiplicativeTransform:
     def test_zero_delta_is_identity_bitwise(self):
         z = np.random.default_rng(2).standard_normal((100, 5))
-        assert np.array_equal(apply_multiplicative(z, np.zeros(5)), z)
+        assert np.array_equal(tamper(z, np.zeros(100), [np.zeros(5)], "multiplicative").data, z)
 
     def test_sign_flip(self):
-        np.testing.assert_array_equal(apply_multiplicative(np.array([[2.0]]), np.array([-2.0])), [[-2.0]])
+        out = tamper(np.array([[2.0]]), [0], [np.array([-2.0])], "multiplicative")
+        np.testing.assert_array_equal(out.data, [[-2.0]])
 
     def test_coordinate_zeroing(self):
-        out = apply_multiplicative(np.array([[1.0, 1.0]]), np.array([-1.0, 0.0]))
-        np.testing.assert_array_equal(out, [[0.0, 1.0]])
+        out = tamper(np.array([[1.0, 1.0]]), [0], [np.array([-1.0, 0.0])], "multiplicative")
+        np.testing.assert_array_equal(out.data, [[0.0, 1.0]])
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            apply_multiplicative(np.zeros((1, 3)), np.zeros(2))
+        with pytest.raises(ShapeMismatchError, match="latent width 3 vs perturbation width 2"):
+            tamper(np.zeros((1, 3)), [0], [np.zeros(2)], "multiplicative")
+
+
+def _tamper_cases():
+    """Codes, mixed labels and two vectors, plus each case's formula in plain numpy."""
+    rng = np.random.default_rng(21)
+    codes, delta, reverse = rng.normal(size=(7, 5)), rng.normal(size=5), rng.normal(size=5)
+    labels = np.array([0, 1, 1, 0, 1, 0, 0])
+    sign = (1.0 - 2.0 * labels).reshape(-1, 1)
+    up = (labels == 0).astype(np.float64).reshape(-1, 1)
+    down = (labels == 1).astype(np.float64).reshape(-1, 1)
+    return codes, labels, {
+        "additive": ([delta], "additive", codes + sign * delta),
+        "per-direction": ([delta, reverse], "additive", (codes + up * delta) - down * reverse),
+        "multiplicative": ([delta], "multiplicative", codes * (delta + 1.0)),
+    }
+
+
+CASES = ("additive", "per-direction", "multiplicative")
+
+
+class TestTamperRule:
+    """``tamper`` is exactly the formula of each case, forward and backward."""
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("as_tensors", [False, True], ids=["arrays", "tensors"])
+    def test_bytes_equal_the_formula(self, case, as_tensors):
+        codes, labels, cases = _tamper_cases()
+        vectors, family, expected = cases[case]
+        if as_tensors:
+            codes, vectors = Tensor(codes), [Tensor(v) for v in vectors]
+        out = tamper(codes, labels, vectors, family)
+        assert isinstance(out, Tensor)
+        assert out.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gradients_equal_the_formula_graph(self, case):
+        codes, labels, cases = _tamper_cases()
+        arrays, family, _ = cases[case]
+        weights = np.random.default_rng(22).normal(size=codes.shape)
+        sign = Tensor((1.0 - 2.0 * labels).reshape(-1, 1))
+        up = Tensor((labels == 0).astype(np.float64).reshape(-1, 1))
+        down = Tensor((labels == 1).astype(np.float64).reshape(-1, 1))
+        formulas = {
+            "additive": lambda z, v: z + sign * v[0],
+            "per-direction": lambda z, v: (z + up * v[0]) - down * v[1],
+            "multiplicative": lambda z, v: z * (v[0] + 1.0),
+        }
+        grads = []
+        for build in (lambda z, v: tamper(z, labels, v, family), formulas[case]):
+            vectors = [Tensor(v.copy()) for v in arrays]
+            ad.backward((build(Tensor(codes), vectors) * weights).sum(), vectors)
+            grads.append([v.grad.tobytes() for v in vectors])
+        assert grads[0] == grads[1]
+
+    def test_second_vector_width_checked(self):
+        with pytest.raises(ShapeMismatchError, match="width"):
+            tamper(np.zeros((2, 3)), [0, 1], [np.zeros(3), np.zeros(2)], "additive")
 
 
 class TestAttackLoss:
@@ -133,22 +187,33 @@ class TestAttackLoss:
         labels = np.array([0, 1, 0])
         scores = Tensor(np.array([[1 - 1e-7], [1e-7], [1 - 1e-7]]))
         delta = Tensor(np.array([5.0, 5.0]))
-        loss = attack_loss(scores, labels, delta, norm_order=2, reg_weight=0.0)
+        loss = attack_loss(scores, labels, [delta], norm_order=2, reg_weight=0.0)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-6)
 
     def test_euclidean_penalty_contribution(self):
         labels = np.array([0])
         scores = Tensor(np.array([[1 - 1e-7]]))  # BCE term ~ 0
         delta = Tensor(np.array([3.0, -4.0]))
-        loss = attack_loss(scores, labels, delta, norm_order=2, reg_weight=1.0)
+        loss = attack_loss(scores, labels, [delta], norm_order=2, reg_weight=1.0)
         assert float(loss.data) == pytest.approx(5.0, abs=1e-6)
 
     def test_l1_penalty_contribution(self):
         labels = np.array([0])
         scores = Tensor(np.array([[1 - 1e-7]]))
         delta = Tensor(np.array([3.0, -4.0]))
-        loss = attack_loss(scores, labels, delta, norm_order=1, reg_weight=1.0)
+        loss = attack_loss(scores, labels, [delta], norm_order=1, reg_weight=1.0)
         assert float(loss.data) == pytest.approx(7.0, abs=1e-6)
+
+    @pytest.mark.parametrize("norm_order", [1, 2])
+    def test_per_direction_penalises_each_vector_bitwise(self, norm_order):
+        labels = np.array([0, 1, 1])
+        scores = Tensor(np.array([[0.8], [0.3], [0.6]]))
+        v0, v1 = Tensor(np.array([0.5, -1.5])), Tensor(np.array([2.0, 0.25]))
+        w = 0.37
+        loss = attack_loss(scores, labels, [v0, v1], norm_order, w)
+        expected = (ad.bce(scores, 1.0 - labels.reshape(-1, 1).astype(np.float64))
+                    + w * ad.lp_penalty(v0, norm_order) + w * ad.lp_penalty(v1, norm_order))
+        assert loss.data.tobytes() == expected.data.tobytes()
 
 
 class TestPerturbationType:
@@ -166,7 +231,7 @@ class TestPerturbationType:
                             delta_reverse=np.array([10.0]))
         z = np.array([[0.0]])
         for label, expected in ((0, [[1.0]]), (1, [[-10.0]])):
-            tampered = _tampered_codes(z, np.array([label]), pert.vectors, pert.family)
+            tampered = tamper(z, np.array([label]), pert.vectors, pert.family)
             np.testing.assert_array_equal(tampered.data, expected)
 
 
@@ -218,7 +283,7 @@ class TestIndependentAttack:
             sign = (1.0 - 2.0 * tiny_data.labels).reshape(-1, 1)
             tampered = mu.data + sign * delta_values
             scores = classify(decode(tampered, tiny_vae).data, attack_clf)
-            loss = attack_loss(scores, tiny_data.labels, Tensor(delta_values),
+            loss = attack_loss(scores, tiny_data.labels, [Tensor(delta_values)],
                                config.norm_order, config.reg_weight)
             return float(loss.data)
 

@@ -107,6 +107,21 @@ class TestSigmoid:
         expected = np.clip(expected, ad._SIG_FLOOR, ad._SIG_CEIL)
         assert sigmoid(Tensor(x)).data.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("shape", [(16,), (63, 1), (7, 13), (64, 256)])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 37.0, 100.0, 800.0])
+    def test_bitwise_equals_the_where_formula(self, shape, scale):
+        # the two-branch np.where form, compared bit for bit (NaN and sign bits too)
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 709.0, -709.0, -745.0, -746.0,
+                   1e-320, -1e-320, 36.7, -36.7, 37.5, -37.5, 3.0]
+        x = np.random.default_rng(int(scale * 10)).normal(size=shape) * scale
+        x.flat[: len(special)] = special[: x.size]
+        e = np.exp(-np.abs(x))
+        expected = np.clip(np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),
+                           ad._SIG_FLOOR, ad._SIG_CEIL)
+        out = sigmoid(Tensor(x)).data
+        assert out.shape == x.shape
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
     @given(hnp.arrays(np.float64, (3, 2), elements=finite_floats))
     def test_range_property(self, x):
         out = sigmoid(Tensor(x)).data

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from latentpoison.attack import (
     AttackConfig,
     Perturbation,
-    apply_additive,
-    apply_multiplicative,
     learn_attack_independent,
+    tamper,
 )
 from latentpoison.evaluation import (
     PRIOR_INTERVAL_HALFWIDTH,
@@ -228,11 +227,8 @@ class TestDecodedView:
                             delta_reverse=reverse if per_direction else None)
         for direction, label in (("0to1", 0), ("1to0", 1)):
             z = encode_mean(tiny_data.images[tiny_data.class_indices(label)], tiny_vae)
-            if family == "multiplicative":
-                reference = apply_multiplicative(z, delta)
-            else:
-                vector = reverse if per_direction and direction == "1to0" else delta
-                reference = apply_additive(z, vector, direction)
+            vector = reverse if per_direction and direction == "1to0" else delta
+            reference = tamper(z, np.full(len(z), label), [vector], family)
             _, _, attacked = decoded_view(tiny_vae, pert, tiny_data, direction)
             assert attacked.tobytes() == decode(reference, tiny_vae).data.tobytes()
 

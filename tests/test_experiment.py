@@ -109,9 +109,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_diverging_loss_names_stage_epoch_and_batch(self, tmp_path, mode):
-        # the VAE's first step at this lr makes the second batch's loss NaN
+        # the eval classifier trains first; its first step at this lr saturates
+        # every prediction of the second batch, some on the wrong side
         plan = _tiny_plan(tmp_path, mode=mode, lr=1e10)
-        message = r"^stage 'learn-attack' failed: non-finite loss nan at epoch 1, batch 2 of 3$"
+        message = (r"^stage 'train-eval-classifier' failed: saturated classifier at epoch 1, "
+                   r"batch 2 of 3: every prediction is clamped and \d+ of 16 are wrong, "
+                   r"so the gradient is zero$")
         with np.errstate(all="ignore"), pytest.raises(ExperimentError, match=message):
             run_experiment(plan)
 

@@ -199,6 +199,16 @@ class TestTrainClassifier:
         accuracy = ((scores > 0.5).astype(int) == test_set.labels).mean()
         assert accuracy >= 0.95
 
+    def test_saturated_run_names_epoch_and_batch(self):
+        # one step at this lr clamps every prediction of the next batch, some
+        # wrongly; the loss stays finite but its gradient is zero from there on
+        data = generate_synthetic(64, 8, 8, seed=1)
+        config = TrainConfig(epochs=3, batch_size=16, lr=1e10)
+        message = (r"^saturated classifier at epoch 1, batch 2 of 4: every prediction is "
+                   r"clamped and \d+ of 16 are wrong, so the gradient is zero$")
+        with pytest.raises(ValueError, match=message):
+            train_classifier(data, config, role="eval")
+
 
 def test_trained_networks_hold_no_gradients(tiny_data):
     config = TrainConfig(epochs=1, batch_size=16, latent_dim=4, seed=13)
