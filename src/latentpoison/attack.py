@@ -55,6 +55,7 @@ from .seeds import ATTACK_INIT, stream
 MODES = ("independent", "poisoning", "poisoning+class")
 FAMILIES = ("additive", "multiplicative")
 DIRECTIONS = ("0to1", "1to0")
+VECTOR_NAMES = ("delta", "delta_reverse")  # Perturbation's vector fields, in payload order
 
 
 def _check_fields(norm_order: int, family: str, reg_weight: float) -> None:
@@ -107,8 +108,6 @@ class Perturbation:
     provenance: str
     delta_reverse: np.ndarray | None = None
 
-    _VECTOR_NAMES = ("delta", "delta_reverse")  # not a field: no annotation
-
     def __post_init__(self):
         _check_fields(self.norm_order, self.family, self.reg_weight)
         if self.provenance not in MODES:
@@ -118,7 +117,7 @@ class Perturbation:
             raise ValueError(f"delta must be a vector, got shape {self.delta.shape}")
         if self.delta_reverse is not None:
             self.delta_reverse = np.asarray(self.delta_reverse, dtype=np.float64)
-        for name, vector in zip(self._VECTOR_NAMES, self.vectors):
+        for name, vector in zip(VECTOR_NAMES, self.vectors):
             if vector.shape != self.delta.shape:
                 raise ValueError(f"{name} must match delta's shape")
             if not np.isfinite(vector).all():
@@ -174,7 +173,7 @@ def _init_deltas(latent_dim: int, config: AttackConfig) -> list[Tensor]:
     return [
         Tensor(rng.normal(0.0, 0.01, latent_dim) if config.random_init else np.zeros(latent_dim),
                name=name)
-        for name in Perturbation._VECTOR_NAMES[: 2 if config.per_direction else 1]
+        for name in VECTOR_NAMES[: 2 if config.per_direction else 1]
     ]
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import Perturbation
+from .attack import VECTOR_NAMES, Perturbation
 from .models import INIT_SCHEME, ROLES, ClassifierParams, VaeParams
 
 MAGIC_PREFIX = b"LPZ"
@@ -168,7 +168,7 @@ def _rebuild(kind: str, desc: dict, payload: bytes, path):
         count = 2 if values.pop("per_direction") else 1
         arrays = _split_payload(payload, [(values.pop("latent_dim"),)] * count, path)
         try:
-            return Perturbation(**dict(zip(Perturbation._VECTOR_NAMES, arrays)), **values)
+            return Perturbation(**dict(zip(VECTOR_NAMES, arrays)), **values)
         except ValueError as exc:  # a field rule of Perturbation; the message names the field
             raise CheckpointError(f"{path}: {exc}") from exc
     if "role" in values and values["role"] not in ROLES:

@@ -27,6 +27,7 @@ from .reporting import render_grid, write_delta, write_report
 
 REG_WEIGHT_SWEEP = (0.001, 0.01, 0.1, 1.0)
 GRID_FIXED = ("mode", "family", "norm_order", "out_dir")  # run-grid sets these per plan
+CLASSIFIER_FIXED = ("kl_weight", "latent_dim", "recon_class_weight")  # VAE-only settings
 # learn-attack's VAE flags by TrainConfig field; each lands in args.vae_<field>
 VAE_FLAGS = {
     "epochs": "--vae-epochs",
@@ -65,6 +66,32 @@ def _merge(args: argparse.Namespace, template, fixed=()):
     file_values = load_config_file(args.config) if args.config else {}
     (instance,) = merge_settings([(template, "")], args.config, file_values, args, fixed)
     return instance
+
+
+def _out_file(args) -> Path:
+    """``--out`` with its parent directories made, right before the file is written."""
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _check_out_paths(args) -> None:
+    """Reject an output path no command could write, before any input is read.
+
+    The nearest existing ancestor of ``--out-dir``, or of ``--out``'s
+    directory, must be a directory, and ``--out`` must not be one.
+    """
+    for flag, path in (("--out-dir", getattr(args, "out_dir", None)),
+                       ("--out", getattr(args, "out", None))):
+        if path is None:
+            continue
+        path = Path(path)
+        if flag == "--out" and path.is_dir():
+            raise ConfigError(f"--out {path} is a directory")
+        start = path if flag == "--out-dir" else path.parent
+        existing = next(p for p in (start, *start.absolute().parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"{flag} {path}: {existing} is not a directory")
 
 
 def _echo(title: str, instance) -> None:
@@ -109,24 +136,28 @@ def _load_dataset(args):
 
 
 def cmd_train_vae(args) -> int:
-    cfg = _merge(args, TrainConfig())
+    # the reconstruction term needs a classifier: without one its weight is fixed at 0
+    fixed = () if args.recon_classifier else ("recon_class_weight",)
+    if fixed and args.recon_class_weight is not None:
+        raise ConfigError("--recon-class-weight needs --recon-classifier")
+    cfg = _merge(args, TrainConfig(), fixed=fixed)
     _echo("train-vae", cfg)
     dataset = _load_dataset(args)
     recon_classifier = None
     if args.recon_classifier:
         recon_classifier, _ = load_checkpoint(args.recon_classifier, expect_kind="classifier")
     vae = train_vae(dataset, cfg, recon_classifier)
-    save_checkpoint(vae, args.out, config=dataclasses.asdict(cfg))
+    save_checkpoint(vae, _out_file(args), config=dataclasses.asdict(cfg))
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_train_classifier(args) -> int:
-    cfg = _merge(args, TrainConfig())
+    cfg = _merge(args, TrainConfig(), fixed=CLASSIFIER_FIXED)
     _echo("train-classifier", cfg)
     dataset = _load_dataset(args)
     params = train_classifier(dataset, cfg, role=args.role)
-    save_checkpoint(params, args.out, config=dataclasses.asdict(cfg))
+    save_checkpoint(params, _out_file(args), config=dataclasses.asdict(cfg))
     print(f"wrote {args.out} (role {args.role})")
     return 0
 
@@ -227,11 +258,6 @@ def cmd_run_grid(args) -> int:
     plans = grid_plans(
         args.out_dir, base=base, include_multiplicative=args.include_multiplicative
     )
-    # every plan writes under --out-dir: a file in its way fails now, not after a plan trains
-    out = Path(args.out_dir)
-    existing = next(p for p in (out, *out.absolute().parents) if p.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"--out-dir {out}: {existing} is not a directory")
     print(f"running {len(plans)} plans under {args.out_dir}")
     results = []
     for plan in plans:
@@ -267,7 +293,7 @@ def cmd_render(args) -> int:
     if count == 0:
         raise ConfigError("no images to render")
     tiles = [images[i].reshape(dataset.height, dataset.width) for i in range(count)]
-    render_grid(tiles, args.columns, args.out)
+    render_grid(tiles, args.columns, _out_file(args))
     print(f"wrote {args.out} ({count} images)")
     return 0
 
@@ -300,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--role", choices=ROLES, required=True)
     p.add_argument("--config")
-    _add_dataclass_flags(p, TrainConfig())
+    _add_dataclass_flags(p, TrainConfig(), skip=CLASSIFIER_FIXED)
     p.set_defaults(func=cmd_train_classifier)
 
     p = sub.add_parser("learn-attack", help="learn the constant latent perturbation")
@@ -349,9 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a rejected input prints ``error: ...`` and returns 2.
+
+    Output paths are checked first, so a path no command could write
+    fails before any input is read or any directory is made.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_paths(args)
         return args.func(args)
     except (ConfigError, ValueError, OSError, ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

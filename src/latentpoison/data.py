@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -186,22 +187,17 @@ def save_idx(dataset: Dataset, image_path, label_path) -> None:
 def split(dataset: Dataset, test_count: int, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded stratified split into disjoint train and test sets.
 
-    Per-class test quotas follow the class ratio (largest remainder), and
-    both classes must stay non-empty on both sides.
+    Per-class test quotas follow the class ratio by largest remainder (class
+    0's share, rounded half up), and both classes must stay non-empty on both sides.
     """
     n = len(dataset)
     if not 0 < test_count < n:
         raise ValueError(f"test_count must be in (0, {n}), got {test_count}")
     rng = stream(seed, SPLIT)
     class_idx = {label: dataset.class_indices(label) for label in (0, 1)}
-    exact = {label: test_count * len(idx) / n for label, idx in class_idx.items()}
-    quota = {label: int(np.floor(v)) for label, v in exact.items()}
-    leftover = test_count - sum(quota.values())
-    for label, _ in sorted(exact.items(), key=lambda kv: kv[1] - int(np.floor(kv[1])), reverse=True):
-        if leftover == 0:
-            break
-        quota[label] += 1
-        leftover -= 1
+    # largest remainder for two classes: round class 0's share, half up (ties go to class 0)
+    quota0 = math.floor(test_count * len(class_idx[0]) / n + 0.5)
+    quota = {0: quota0, 1: test_count - quota0}
     test_parts, train_parts = [], []
     for label in (0, 1):
         idx = class_idx[label]

@@ -120,6 +120,11 @@ def _named_layers(layout: list[tuple[str, int, int]], arrays) -> list[tuple[Tens
     ]
 
 
+def _flatten(layers) -> list[Tensor]:
+    """``[weight, bias, ...]`` of ``(weight, bias)`` layers, in order: the one parameter order."""
+    return [tensor for layer in layers for tensor in layer]
+
+
 @dataclass
 class VaeParams:
     """Parameters of the encoder/decoder pair.
@@ -165,10 +170,7 @@ class VaeParams:
         return cls._from_arrays(arrays, image_dim, latent_dim, hidden)
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in [*self.encoder_layers, self.mu_head, self.log_var_head, *self.decoder_layers]:
-            out.extend((w, b))
-        return out
+        return _flatten([*self.encoder_layers, self.mu_head, self.log_var_head, *self.decoder_layers])
 
 
 @dataclass
@@ -205,10 +207,7 @@ class ClassifierParams:
         return cls._from_arrays(arrays, image_dim, hidden, role)
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in self.layers:
-            out.extend((w, b))
-        return out
+        return _flatten(self.layers)
 
 
 def _as_batch(x, expected_dim: int, what: str) -> Tensor:
@@ -220,12 +219,16 @@ def _as_batch(x, expected_dim: int, what: str) -> Tensor:
     return t
 
 
+def _mlp(t: Tensor, layers, last) -> Tensor:
+    """The one MLP chain: ``ad.tanh`` after each layer but the last, ``last`` after it."""
+    for i, (w, b) in enumerate(layers):
+        t = (last if i == len(layers) - 1 else ad.tanh)(ad.linear(t, w, b))
+    return t
+
+
 def _encoder_hidden(x, params: VaeParams) -> Tensor:
     """The encoder's layers, up to where its two heads branch."""
-    t = _as_batch(x, params.image_dim, "encode")
-    for w, b in params.encoder_layers:
-        t = ad.tanh(ad.linear(t, w, b))
-    return t
+    return _mlp(_as_batch(x, params.image_dim, "encode"), params.encoder_layers, ad.tanh)
 
 
 def encode(x, params: VaeParams) -> tuple[Tensor, Tensor]:
@@ -253,18 +256,12 @@ def sample_latent(mu: Tensor, log_var: Tensor, rng) -> Tensor:
 
 def decode(z, params: VaeParams) -> Tensor:
     """Forward pass from latent codes to pixels in (0, 1)."""
-    t = _as_batch(z, params.latent_dim, "decode")
-    for w, b in params.decoder_layers[:-1]:
-        t = ad.tanh(ad.linear(t, w, b))
-    return ad.sigmoid(ad.linear(t, *params.decoder_layers[-1]))
+    return _mlp(_as_batch(z, params.latent_dim, "decode"), params.decoder_layers, ad.sigmoid)
 
 
 def classify(x, params: ClassifierParams) -> Tensor:
     """Per-sample scores in (0, 1), shape [batch, 1]."""
-    t = _as_batch(x, params.image_dim, "classify")
-    for w, b in params.layers[:-1]:
-        t = ad.tanh(ad.linear(t, w, b))
-    return ad.sigmoid(ad.linear(t, *params.layers[-1]))
+    return _mlp(_as_batch(x, params.image_dim, "classify"), params.layers, ad.sigmoid)
 
 
 def vae_loss(x, x_hat: Tensor, mu: Tensor, log_var: Tensor, kl_weight: float) -> Tensor:

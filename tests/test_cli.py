@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from latentpoison import attack, cli
+from latentpoison.models import TrainConfig
 from latentpoison.checkpoint import load_checkpoint
 from latentpoison.cli import _learn_attack_configs, build_parser, main
 from latentpoison.config import ConfigError
@@ -72,7 +75,7 @@ class TestTrainingCommands:
         code = main([
             "train-classifier", *_train_args(data_dir, []),
             "--out", str(clf_path), "--role", "eval",
-            "--epochs", "2", "--batch-size", "16", "--latent-dim", "4", "--seed", "5",
+            "--epochs", "2", "--batch-size", "16", "--seed", "5",
         ])
         assert code == 0
         clf, config = load_checkpoint(clf_path, expect_kind="classifier")
@@ -88,6 +91,17 @@ class TestTrainingCommands:
         assert code == 0
         vae, _ = load_checkpoint(vae_path, expect_kind="vae")
         assert vae.latent_dim == 4
+
+    def test_out_parents_are_made_and_the_echo_keeps_vae_defaults(self, data_dir, tmp_path):
+        out = tmp_path / "new" / "nets" / "clf.ckpt"
+        code = main([
+            "train-classifier", *_train_args(data_dir, []), "--role", "attack",
+            "--out", str(out), "--epochs", "1", "--batch-size", "16",
+        ])
+        assert code == 0
+        _, config = load_checkpoint(out, expect_kind="classifier")
+        for key in cli.CLASSIFIER_FIXED:
+            assert config[key] == getattr(TrainConfig(), key)
 
     def test_config_file_with_flag_override(self, data_dir, tmp_path):
         config = tmp_path / "train.cfg"
@@ -425,6 +439,86 @@ class TestRender:
         ])
         assert code == 0
         assert out.exists()
+
+
+def _listing(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
+class TestRejectedBeforeAnyInput:
+    """Each rejection exits 2, names what it rejects and creates nothing.
+
+    The images and checkpoints passed do not exist, so the rejection
+    provably comes before any input is read.
+    """
+
+    @pytest.fixture
+    def missing(self, tmp_path):
+        return ["--images", str(tmp_path / "no.idx"), "--labels", str(tmp_path / "no.idx")]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--kl-weight", "99"), ("--latent-dim", "7"), ("--recon-class-weight", "5"),
+    ])
+    def test_train_classifier_has_no_vae_flag(self, tmp_path, capsys, missing, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-classifier", *missing, "--role", "eval",
+                  "--out", str(tmp_path / "out" / "c.ckpt"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert _listing(tmp_path) == []
+
+    @pytest.mark.parametrize("command, key", [
+        *(("train-classifier --role eval", key) for key in cli.CLASSIFIER_FIXED),
+        ("train-vae", "recon_class_weight"),
+    ])
+    def test_file_key_the_command_never_reads(self, tmp_path, capsys, missing, command, key):
+        config = tmp_path / "train.cfg"
+        config.write_text(f"{key} = 5\n")
+        code = main([*command.split(), *missing, "--config", str(config),
+                     "--out", str(tmp_path / "out" / "x.ckpt")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}: key {key!r} is fixed by this command\n"
+        assert _listing(tmp_path) == [config.relative_to(tmp_path)]
+
+    def test_recon_weight_needs_a_recon_classifier(self, tmp_path, capsys, missing):
+        code = main(["train-vae", *missing, "--out", str(tmp_path / "out" / "v.ckpt"),
+                     "--recon-class-weight", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --recon-class-weight needs --recon-classifier\n"
+        assert _listing(tmp_path) == []
+
+    @pytest.mark.parametrize("command", [
+        "gen-data",
+        "learn-attack --mode poisoning",
+        "evaluate --vae {d}/no.ckpt --perturbation {d}/no.ckpt --classifier {d}/no.ckpt",
+    ], ids=["gen-data", "learn-attack", "evaluate"])
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys, monkeypatch, missing, command):
+        monkeypatch.setattr(cli, "generate_synthetic", _no_training)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        inputs = [] if command == "gen-data" else missing
+        code = main([*command.format(d=tmp_path).split(), *inputs, "--out-dir", str(blocker)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --out-dir {blocker}: {blocker} is not a directory\n"
+        assert _listing(tmp_path) == [Path("file")]
+
+    @pytest.mark.parametrize("command", ["train-vae", "train-classifier --role eval", "render"])
+    @pytest.mark.parametrize("case", ["under-a-file", "a-directory"])
+    def test_out_that_cannot_be_written(self, tmp_path, capsys, missing, command, case):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        if case == "under-a-file":
+            out = blocker / "sub" / "x.out"
+            expected = f"error: --out {out}: {blocker} is not a directory\n"
+        else:
+            out = tmp_path / "dir"
+            out.mkdir()
+            expected = f"error: --out {out} is a directory\n"
+        before = _listing(tmp_path)
+        code = main([*command.split(), *missing, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == expected
+        assert _listing(tmp_path) == before
 
 
 def _no_training(*args, **kwargs):

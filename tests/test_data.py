@@ -207,6 +207,36 @@ class TestSplit:
             split(lopsided, 6, seed=0)
 
 
+    def test_closed_form_quota_is_the_largest_remainder_rule(self):
+        # every split of up to 40 samples per class, against the general loop it replaced
+        for n0 in range(41):
+            for n1 in range(41):
+                labels = np.array([0] * n0 + [1] * n1)
+                data = Dataset(np.zeros((len(labels), 1)), labels, 1, 1)
+                for test_count in range(1, len(labels)):
+                    quota = _largest_remainder_quota(test_count, {0: n0, 1: n1})
+                    if not all(0 < quota[c] < n for c, n in ((0, n0), (1, n1))):
+                        with pytest.raises(ValueError, match="non-empty"):
+                            split(data, test_count, seed=0)
+                        continue
+                    _, test = split(data, test_count, seed=0)
+                    assert {c: len(test.class_indices(c)) for c in (0, 1)} == quota
+
+
+def _largest_remainder_quota(test_count: int, class_counts: dict[int, int]) -> dict[int, int]:
+    """The general largest-remainder loop ``split`` once ran: the reference for its closed form."""
+    n = sum(class_counts.values())
+    exact = {label: test_count * count / n for label, count in class_counts.items()}
+    quota = {label: int(np.floor(v)) for label, v in exact.items()}
+    leftover = test_count - sum(quota.values())
+    for label, _ in sorted(exact.items(), key=lambda kv: kv[1] - int(np.floor(kv[1])), reverse=True):
+        if leftover == 0:
+            break
+        quota[label] += 1
+        leftover -= 1
+    return quota
+
+
 def _fuzz_pair(tmp_path_factory, image: bytes, labels: bytes):
     """Write an IDX pair to one reused scratch directory and return the two paths."""
     out = tmp_path_factory.getbasetemp() / "idx-fuzz"
