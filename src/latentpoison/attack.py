@@ -277,6 +277,7 @@ def learn_attack_frozen(vae: VaeParams, classifier: ClassifierParams, dataset: D
             f"image widths disagree: vae {vae.image_dim}, classifier "
             f"{classifier.image_dim}, dataset {dataset.image_dim}"
         )
+    dataset.require_both_classes("learn_attack_frozen")
     learned = {}
     for key in dict.fromkeys((config.seed, config.batch_size) for config in configs):
         group = [i for i, config in enumerate(configs) if (config.seed, config.batch_size) == key]

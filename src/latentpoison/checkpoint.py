@@ -20,11 +20,11 @@ import hashlib
 import json
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from .attack import VECTOR_NAMES, Perturbation
+from .data import ByteReader
 from .models import INIT_SCHEME, ROLES, ClassifierParams, VaeParams
 
 MAGIC_PREFIX = b"LPZ"
@@ -109,23 +109,6 @@ def save_checkpoint(artifact, path, config: dict | None = None) -> None:
         fh.write(_payload_hash(payload))
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.path = path
-        self.offset = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.blob):
-            raise CheckpointTruncatedError(
-                f"{self.path}: truncated while reading {what} "
-                f"({len(self.blob) - self.offset} of {n} bytes left)"
-            )
-        chunk = self.blob[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-
 def _split_payload(payload: bytes, shapes: list[tuple[int, ...]], path) -> list[np.ndarray]:
     expected = sum(math.prod(s) for s in shapes) * 8
     if len(payload) != expected:
@@ -191,8 +174,8 @@ def load_checkpoint(path, expect_kind: str | None = None):
     Returns the artifact and the config echo stored with it:
     ``(artifact, config_dict_or_None)``.
     """
-    path = Path(path)
-    reader = _Reader(path.read_bytes(), path)
+    reader = ByteReader(path, CheckpointTruncatedError, CheckpointError)
+    path = reader.path
     magic = reader.take(4, "magic")
     if magic[:3] != MAGIC_PREFIX or not magic[3:4].isdigit():
         raise CheckpointVersionError(f"{path}: not a checkpoint file (magic {magic!r})")
@@ -206,8 +189,9 @@ def load_checkpoint(path, expect_kind: str | None = None):
         raise CheckpointError(f"{path}: unknown artifact kind byte {kind_byte}")
     kind = _KIND_NAMES[kind_byte]
     (desc_len,) = struct.unpack("<I", reader.take(4, "descriptor length"))
+    desc_bytes = reader.take(desc_len, "descriptor")  # a short file is truncated, not bad JSON
     try:
-        desc = json.loads(reader.take(desc_len, "descriptor").decode("utf-8"))
+        desc = json.loads(desc_bytes.decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"{path}: descriptor is not valid JSON: {exc}") from exc
     if not isinstance(desc, dict):
@@ -218,10 +202,7 @@ def load_checkpoint(path, expect_kind: str | None = None):
         )
     (pay_len,) = struct.unpack("<Q", reader.take(8, "payload length"))
     payload = reader.take(pay_len, "payload")
-    stored_hash = reader.take(8, "hash")
-    extra = len(reader.blob) - reader.offset
-    if extra:
-        raise CheckpointError(f"{path}: {extra} bytes after the hash")
+    stored_hash = reader.last(8, "hash")
     if _payload_hash(payload) != stored_hash:
         raise CheckpointHashError(f"{path}: payload hash mismatch, file is corrupt")
     if expect_kind is not None and kind != expect_kind:

@@ -115,9 +115,9 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(
             f"test_count must be non-negative (0 writes no split), got {cfg.test_count}"
         )
-    _echo("gen-data", cfg)
     data = generate_synthetic(cfg.count, cfg.width, cfg.height, cfg.seed)
     parts = split(data, cfg.test_count, cfg.seed) if cfg.test_count > 0 else None
+    _echo("gen-data", cfg)  # only once the settings are accepted, so a rejected run prints none
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if parts is not None:
@@ -141,11 +141,11 @@ def cmd_train_vae(args) -> int:
     if fixed and args.recon_class_weight is not None:
         raise ConfigError("--recon-class-weight needs --recon-classifier")
     cfg = _merge(args, TrainConfig(), fixed=fixed)
-    _echo("train-vae", cfg)
     dataset = _load_dataset(args)
     recon_classifier = None
     if args.recon_classifier:
         recon_classifier, _ = load_checkpoint(args.recon_classifier, expect_kind="classifier")
+    _echo("train-vae", cfg)
     vae = train_vae(dataset, cfg, recon_classifier)
     save_checkpoint(vae, _out_file(args), config=dataclasses.asdict(cfg))
     print(f"wrote {args.out}")
@@ -154,8 +154,9 @@ def cmd_train_vae(args) -> int:
 
 def cmd_train_classifier(args) -> int:
     cfg = _merge(args, TrainConfig(), fixed=CLASSIFIER_FIXED)
-    _echo("train-classifier", cfg)
     dataset = _load_dataset(args)
+    dataset.require_both_classes(f"{args.labels}: train-classifier")
+    _echo("train-classifier", cfg)
     params = train_classifier(dataset, cfg, role=args.role)
     save_checkpoint(params, _out_file(args), config=dataclasses.asdict(cfg))
     print(f"wrote {args.out} (role {args.role})")
@@ -196,6 +197,7 @@ def cmd_learn_attack(args) -> int:
     if unused:
         raise ConfigError(f"{args.mode} mode does not use {', '.join(unused)}")
     dataset = _load_dataset(args)
+    dataset.require_both_classes(f"{args.labels}: learn-attack")
     weights = REG_WEIGHT_SWEEP if args.sweep else (attack_cfg.reg_weight,)
     configs = [dataclasses.replace(attack_cfg, reg_weight=weight) for weight in weights]
     echo = {"mode": args.mode}
@@ -226,6 +228,7 @@ def cmd_learn_attack(args) -> int:
 
 def cmd_evaluate(args) -> int:
     dataset = _load_dataset(args)
+    dataset.require_both_classes(f"{args.labels}: evaluate")
     vae, _ = load_checkpoint(args.vae, expect_kind="vae")
     perturbation, pert_config = load_checkpoint(args.perturbation, expect_kind="perturbation")
     classifier, _ = load_checkpoint(args.classifier, expect_kind="classifier")

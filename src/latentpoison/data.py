@@ -1,9 +1,11 @@
-"""Dataset construction: synthetic two-class images, IDX files, splits."""
+"""Dataset construction: synthetic two-class images, IDX files, splits.
+
+:class:`ByteReader`, the one bounded file reader, parses IDX files and checkpoints alike.
+"""
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +70,11 @@ class Dataset:
     def class_indices(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.labels == label)
 
+    def require_both_classes(self, who: str) -> None:
+        """The one class-presence rule: ``who`` needs samples of label 0 and of label 1."""
+        if len(self.class_indices(0)) == 0 or len(self.class_indices(1)) == 0:
+            raise ValueError(f"{who} requires samples from both classes")
+
 
 def feature_mask(width: int, height: int) -> np.ndarray:
     """Boolean [height, width] mask of the class-1 bar region.
@@ -118,21 +125,45 @@ def generate_synthetic(count: int, width: int, height: int, seed: int) -> Datase
     return Dataset(images, labels, width, height)
 
 
-def _read_exact(handle, n: int, path, what: str) -> bytes:
-    """``n`` bytes, checked against the file's size first: a header's count is never trusted."""
-    left = os.fstat(handle.fileno()).st_size - handle.tell()
-    if n > left:
-        raise IdxTruncatedError(f"{path}: expected {n} bytes for {what}, got {left}")
-    return handle.read(n)
+class ByteReader:
+    """A whole file read once, then taken part by part; IDX files and checkpoints share it.
+
+    A declared size is never trusted: ``take(n, what)`` checks ``n`` against
+    the bytes left before it slices, else raises ``truncated``, and
+    ``last(n, what)`` also rejects any byte after the part with ``malformed``.
+    Both messages name the file and the part; each format passes its own classes.
+    """
+
+    def __init__(self, path, truncated: type[Exception], malformed: type[Exception]):
+        self.path, self.truncated, self.malformed = Path(path), truncated, malformed
+        self.blob, self.offset = self.path.read_bytes(), 0
+
+    def take(self, n: int, what: str) -> bytes:
+        left = len(self.blob) - self.offset
+        if n > left:
+            raise self.truncated(f"{self.path}: expected {n} bytes for {what}, got {left}")
+        self.offset += n
+        return self.blob[self.offset - n : self.offset]
+
+    def last(self, n: int, what: str) -> bytes:
+        part = self.take(n, what)
+        extra = len(self.blob) - self.offset
+        if extra:
+            raise self.malformed(f"{self.path}: {extra} bytes after the {what}")
+        return part
 
 
-def _read_to_end(handle, n: int, path, what: str) -> bytes:
-    """The file's last ``n`` bytes: :func:`_read_exact`, and nothing may follow them."""
-    payload = _read_exact(handle, n, path, what)
-    extra = os.fstat(handle.fileno()).st_size - handle.tell()
-    if extra:
-        raise IdxFormatError(f"{path}: {extra} bytes after the {what}")
-    return payload
+def _read_idx(path, magic: int, ndim: int, what: str) -> tuple[tuple[int, ...], bytes]:
+    """One IDX file's ``ndim`` header sizes and its payload, named ``what``, which ends the file."""
+    reader = ByteReader(path, IdxTruncatedError, IdxFormatError)
+    (found,) = struct.unpack(">I", reader.take(4, "magic"))
+    if found != magic:
+        raise IdxMagicError(f"{reader.path}: magic {found:#010x}, expected {magic:#010x}")
+    sizes = struct.unpack(f">{ndim}I", reader.take(4 * ndim, "dimensions" if ndim > 1 else "count"))
+    for name, size in zip(("count", "height", "width"), sizes):
+        if size == 0:
+            raise IdxFormatError(f"{reader.path}: {name} is 0, every IDX size must be positive")
+    return sizes, reader.last(math.prod(sizes), what)
 
 
 def load_idx(image_path, label_path, positive_labels) -> Dataset:
@@ -141,29 +172,12 @@ def load_idx(image_path, label_path, positive_labels) -> Dataset:
     Raw label values in ``positive_labels`` map to 1, everything else to 0.
     Pixels are scaled to [0, 1] by division by 255.
     """
-    image_path, label_path = Path(image_path), Path(label_path)
     positive = frozenset(int(v) for v in positive_labels)
-    with open(image_path, "rb") as fh:
-        (magic,) = struct.unpack(">I", _read_exact(fh, 4, image_path, "magic"))
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxMagicError(
-                f"{image_path}: magic {magic:#010x}, expected {IDX_IMAGE_MAGIC:#010x}"
-            )
-        count, height, width = struct.unpack(
-            ">III", _read_exact(fh, 12, image_path, "dimensions")
-        )
-        pixels = _read_to_end(fh, count * height * width, image_path, "pixels")
-    with open(label_path, "rb") as fh:
-        (magic,) = struct.unpack(">I", _read_exact(fh, 4, label_path, "magic"))
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxMagicError(
-                f"{label_path}: magic {magic:#010x}, expected {IDX_LABEL_MAGIC:#010x}"
-            )
-        (label_count,) = struct.unpack(">I", _read_exact(fh, 4, label_path, "count"))
-        raw_labels = _read_to_end(fh, label_count, label_path, "labels")
+    (count, height, width), pixels = _read_idx(image_path, IDX_IMAGE_MAGIC, 3, "pixels")
+    (label_count,), raw_labels = _read_idx(label_path, IDX_LABEL_MAGIC, 1, "labels")
     if label_count != count:
         raise IdxCountMismatchError(
-            f"{image_path} holds {count} images but {label_path} holds "
+            f"{Path(image_path)} holds {count} images but {Path(label_path)} holds "
             f"{label_count} labels"
         )
     images = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
@@ -173,15 +187,17 @@ def load_idx(image_path, label_path, positive_labels) -> Dataset:
     return Dataset(images.reshape(count, height * width), labels, width, height)
 
 
+def _write_idx(path, magic: int, array: np.ndarray) -> None:
+    """An IDX file: ``magic``, one big-endian u32 per dimension of ``array``, its bytes."""
+    Path(path).write_bytes(struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes())
+
+
 def save_idx(dataset: Dataset, image_path, label_path) -> None:
     """Write a dataset as an IDX image/label file pair (pixels quantized to bytes)."""
     pixels = np.rint(dataset.images * 255.0).astype(np.uint8)
-    with open(image_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, len(dataset), dataset.height, dataset.width))
-        fh.write(pixels.tobytes())
-    with open(label_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, len(dataset)))
-        fh.write(dataset.labels.astype(np.uint8).tobytes())
+    shape = (len(dataset), dataset.height, dataset.width)
+    _write_idx(image_path, IDX_IMAGE_MAGIC, pixels.reshape(shape))
+    _write_idx(label_path, IDX_LABEL_MAGIC, dataset.labels.astype(np.uint8))
 
 
 def split(dataset: Dataset, test_count: int, seed: int) -> tuple[Dataset, Dataset]:

@@ -309,8 +309,7 @@ def train_classifier(dataset: Dataset, config: TrainConfig, role: str) -> Classi
     on the wrong side, has a zero gradient, so training could never recover:
     that is a ``ValueError`` naming its epoch and batch, from 1.
     """
-    if len(dataset.class_indices(0)) == 0 or len(dataset.class_indices(1)) == 0:
-        raise ValueError("train_classifier requires samples from both classes")
+    dataset.require_both_classes("train_classifier")
     params = ClassifierParams.initialize(
         dataset.image_dim, stream(config.seed, PARAM_INIT), role
     )

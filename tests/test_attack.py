@@ -268,6 +268,21 @@ class TestIndependentAttack:
         with pytest.raises(ShapeMismatchError):
             learn_attack_independent(tiny_vae, attack_clf, other, AttackConfig(epochs=1))
 
+    @pytest.mark.parametrize("per_direction", [False, True])
+    def test_one_class_rejected_before_encoding(
+        self, tiny_vae, tiny_classifiers, tiny_data, monkeypatch, per_direction
+    ):
+        # without class-1 rows a per-direction run has nothing to learn its reverse vector from
+        from latentpoison.data import Dataset
+
+        attack_clf, _ = tiny_classifiers
+        rows = tiny_data.class_indices(0)
+        single = Dataset(tiny_data.images[rows], tiny_data.labels[rows], 8, 8)
+        monkeypatch.setattr(attack, "_latent_means", _no_encoding)
+        with pytest.raises(ValueError, match="^learn_attack_frozen requires samples from both"):
+            learn_attack_independent(tiny_vae, attack_clf, single,
+                                     AttackConfig(epochs=1, per_direction=per_direction))
+
     def test_eval_classifier_rejected(self, tiny_vae, tiny_classifiers, tiny_data):
         _, eval_clf = tiny_classifiers
         with pytest.raises(ValueError, match="attack classifier, got role 'eval'"):
@@ -410,6 +425,10 @@ class TestIndependentAttack:
             assert [v.tobytes() for v in pert.vectors] == [v.tobytes() for v in single.vectors]
             assert (pert.family, pert.norm_order, pert.provenance) == (
                 config.family, config.norm_order, "independent")
+
+
+def _no_encoding(*args):
+    raise AssertionError("a rejected attack must not encode")
 
 
 class TestPoisoningAttacks:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -229,6 +230,27 @@ class TestCorruption:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointTruncatedError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("part", [
+        "magic", "kind", "descriptor length", "descriptor", "payload length", "payload", "hash",
+    ])
+    @pytest.mark.parametrize("kept", ["none", "all but one"])
+    def test_truncated_at_each_part(self, tmp_path, classifier, part, kept):
+        path = tmp_path / "clf.ckpt"
+        save_checkpoint(classifier, path)
+        blob = path.read_bytes()
+        (desc_len,) = struct.unpack("<I", blob[5:9])
+        (pay_len,) = struct.unpack("<Q", blob[9 + desc_len : 17 + desc_len])
+        sizes = {"magic": 4, "kind": 1, "descriptor length": 4, "descriptor": desc_len,
+                 "payload length": 8, "payload": pay_len, "hash": 8}
+        names = list(sizes)
+        start = sum(sizes[name] for name in names[: names.index(part)])
+        assert start + sum(sizes[name] for name in names[names.index(part) :]) == len(blob)
+        left = 0 if kept == "none" else sizes[part] - 1
+        path.write_bytes(blob[: start + left])
+        message = re.escape(f"{path}: expected {sizes[part]} bytes for {part}, got {left}")
+        with pytest.raises(CheckpointTruncatedError, match=f"^{message}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("extra", [b"\x00", bytes(range(8))])

@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from latentpoison.models import TrainConfig
 from latentpoison.checkpoint import load_checkpoint
 from latentpoison.cli import _learn_attack_configs, build_parser, main
 from latentpoison.config import ConfigError
-from latentpoison.data import load_idx
+from latentpoison.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset, load_idx, save_idx
 from latentpoison.reporting import parse_report
 
 
@@ -320,6 +321,37 @@ class TestAttackAndEvaluate:
         assert f"got role {wrong_role!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "learn-attack --mode independent --per-direction --vae {art}/vae.ckpt"
+        " --classifier {art}/attack.ckpt --out-dir {out} --epochs 1",
+        "learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/attack.ckpt"
+        " --out-dir {out} --epochs 1",
+        "learn-attack --mode poisoning --out-dir {out} --epochs 1",
+        "train-classifier --role eval --out {out}/c.ckpt --epochs 1",
+        "evaluate --vae {art}/vae.ckpt --perturbation {art}/perturbation.ckpt"
+        " --classifier {art}/eval.ckpt --out-dir {out}",
+    ], ids=["learn-attack-independent-per-direction", "learn-attack-independent",
+            "learn-attack-poisoning", "train-classifier", "evaluate"])
+    def test_one_class_rejected_before_training(
+        self, data_dir, artifacts, tmp_path, capsys, monkeypatch, command
+    ):
+        # a one-class file fails before any checkpoint is read or anything trains
+        train = load_idx(data_dir / "train-images.idx", data_dir / "train-labels.idx", {1})
+        rows = train.class_indices(0)
+        img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        save_idx(Dataset(train.images[rows], train.labels[rows], 8, 8), img, lbl)
+        monkeypatch.setattr(attack, "_train", _no_training)
+        for name in ("train_classifier", "evaluate_attack", "load_checkpoint"):
+            monkeypatch.setattr(cli, name, _no_training)
+        args = [a.format(art=artifacts, out=tmp_path / "out") for a in command.split()]
+        code = main([*args, "--images", str(img), "--labels", str(lbl)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {lbl}: {command.split()[0]} requires samples "
+                                "from both classes\n")
+        assert _listing(tmp_path) == [Path("img.idx"), Path("lbl.idx")]
+
     def test_poisoning_writes_vae_too(self, data_dir, tmp_path):
         code = main([
             "learn-attack", "--mode", "poisoning", *_train_args(data_dir, []),
@@ -519,6 +551,52 @@ class TestRejectedBeforeAnyInput:
         assert code == 2
         assert capsys.readouterr().err == expected
         assert _listing(tmp_path) == before
+
+
+class TestRejectedBeforeTraining:
+    """Each rejection exits 2 with an empty stdout, names the file or the setting, creates nothing."""
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--count", "3"], "count must be positive and even, got 3"),
+        (["--width", "4"], "width and height must be at least 8, got 4x16"),
+        (["--count", "10", "--test-count", "9"],
+         "cannot keep class 0 non-empty on both sides: 5 samples, test quota 5"),
+    ], ids=["odd-count", "narrow", "split"])
+    def test_gen_data_echoes_only_accepted_settings(self, tmp_path, capsys, flags, error):
+        code = main(["gen-data", "--out-dir", str(tmp_path / "gd"), *flags])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert _listing(tmp_path) == []
+
+    @pytest.mark.parametrize("command", [
+        "train-classifier --role eval --out {d}/out/c.ckpt",
+        "train-vae --out {d}/out/v.ckpt",
+        "render --out {d}/out/r.pgm",
+        "learn-attack --mode independent --vae {d}/no.ckpt --classifier {d}/no.ckpt"
+        " --out-dir {d}/out",
+        "learn-attack --mode poisoning --out-dir {d}/out",
+    ], ids=["train-classifier", "train-vae", "render", "learn-attack-independent",
+            "learn-attack-poisoning"])
+    @pytest.mark.parametrize("header, labels, named", [
+        ((4, 0, 0), 4, ("img", "height")),
+        ((0, 8, 8), 0, ("img", "count")),
+        ((4, 8, 8), 0, ("lbl", "count")),
+    ], ids=["0x0-images", "0-count-pair", "0-labels"])
+    def test_zero_idx_size(self, tmp_path, capsys, monkeypatch, command, header, labels, named):
+        for name in ("train_classifier", "train_vae", "learn_attack_frozen",
+                     "learn_attack_protocol", "render_grid"):
+            monkeypatch.setattr(cli, name, _no_training)
+        paths = {"img": tmp_path / "img.idx", "lbl": tmp_path / "lbl.idx"}
+        paths["img"].write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, *header)
+                                 + bytes(header[0] * header[1] * header[2]))
+        paths["lbl"].write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, labels) + bytes(labels))
+        args = [a.format(d=tmp_path) for a in command.split()]
+        code = main([*args, "--images", str(paths["img"]), "--labels", str(paths["lbl"])])
+        assert code == 2
+        path, field = paths[named[0]], named[1]
+        assert capsys.readouterr() == (
+            "", f"error: {path}: {field} is 0, every IDX size must be positive\n")
+        assert _listing(tmp_path) == [Path("img.idx"), Path("lbl.idx")]
 
 
 def _no_training(*args, **kwargs):

@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from latentpoison.data import (
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
+    ByteReader,
     Dataset,
     IdxCountMismatchError,
     IdxFormatError,
@@ -82,6 +84,15 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="labels"):
             Dataset(np.zeros((1, 4)), np.array([3]), 2, 2)
 
+    @pytest.mark.parametrize("labels", [[], [0, 0], [1]])
+    def test_both_classes_required(self, labels):
+        data = Dataset(np.zeros((len(labels), 4)), np.array(labels, dtype=np.int64), 2, 2)
+        with pytest.raises(ValueError, match="^the caller requires samples from both classes$"):
+            data.require_both_classes("the caller")
+
+    def test_both_classes_present(self):
+        Dataset(np.zeros((2, 4)), np.array([1, 0]), 2, 2).require_both_classes("the caller")
+
 
 def _write_idx_pair(tmp_path, pixels, raw_labels, height, width,
                     image_magic=IDX_IMAGE_MAGIC, label_magic=IDX_LABEL_MAGIC,
@@ -141,6 +152,26 @@ class TestIdx:
         with pytest.raises(IdxTruncatedError, match=r"img\.idx: expected \d+ bytes for pixels"):
             load_idx(img, lbl, positive_labels={1})
 
+    @pytest.mark.parametrize("which, header, name", [
+        ("img", (0, 2, 2), "count"),
+        ("img", (1, 0, 2), "height"),
+        ("img", (1, 2, 0), "width"),
+        ("img", (1, 0, 0), "height"),
+        ("lbl", (0,), "count"),
+    ])
+    def test_zero_size_rejected(self, tmp_path, which, header, name):
+        # a zero size holds no dataset, and training on one fails far from the file
+        img, lbl = _write_idx_pair(tmp_path, [7] * 4, [1], 2, 2)
+        if which == "img":
+            img.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, *header) + bytes(math.prod(header)))
+            lbl.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, header[0]) + bytes(header[0]))
+        else:
+            lbl.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 0))
+        path = img if which == "img" else lbl
+        message = re.escape(f"{path}: {name} is 0, every IDX size must be positive")
+        with pytest.raises(IdxFormatError, match=f"^{message}$"):
+            load_idx(img, lbl, positive_labels={1})
+
     def test_count_mismatch(self, tmp_path):
         image_path = tmp_path / "img.idx"
         label_path = tmp_path / "lbl.idx"
@@ -158,6 +189,51 @@ class TestIdx:
         # a second save of the loaded data is byte-identical (fixed point)
         save_idx(loaded, tmp_path / "i2.idx", tmp_path / "l2.idx")
         assert (tmp_path / "i.idx").read_bytes() == (tmp_path / "i2.idx").read_bytes()
+
+    def test_save_writes_the_hand_packed_bytes(self, tmp_path):
+        # the writer against the format itself, not against the reader
+        save_idx(generate_synthetic(20, 8, 8, seed=2), tmp_path / "i.idx", tmp_path / "l.idx")
+        images, labels = _idx_pair_bytes(20)
+        assert (tmp_path / "i.idx").read_bytes() == images
+        assert (tmp_path / "l.idx").read_bytes() == labels
+
+    def test_non_square_header_order(self, tmp_path):
+        data = generate_synthetic(4, 12, 8, seed=0)
+        save_idx(data, tmp_path / "i.idx", tmp_path / "l.idx")
+        assert (tmp_path / "i.idx").read_bytes()[:16] == struct.pack(
+            ">IIII", IDX_IMAGE_MAGIC, 4, 8, 12)
+        loaded = load_idx(tmp_path / "i.idx", tmp_path / "l.idx", positive_labels={1})
+        assert (loaded.width, loaded.height) == (12, 8)
+
+
+class TestByteReader:
+    """The one bounded reader: each format passes the exception classes it raises."""
+
+    class Short(Exception):
+        pass
+
+    class Bad(Exception):
+        pass
+
+    def _reader(self, tmp_path, blob):
+        (tmp_path / "f.bin").write_bytes(blob)
+        return ByteReader(tmp_path / "f.bin", self.Short, self.Bad)
+
+    def test_parts_in_order(self, tmp_path):
+        reader = self._reader(tmp_path, b"abcdef")
+        assert (reader.take(2, "head"), reader.take(0, "empty"), reader.last(4, "tail")) == (
+            b"ab", b"", b"cdef")
+
+    def test_short_part_names_file_part_and_bytes_left(self, tmp_path):
+        reader = self._reader(tmp_path, b"abcdef")
+        reader.take(4, "head")
+        with pytest.raises(self.Short, match=re.escape(f"{tmp_path / 'f.bin'}: expected 3 "
+                                                       "bytes for body, got 2")):
+            reader.take(3, "body")
+
+    def test_bytes_after_the_last_part(self, tmp_path):
+        with pytest.raises(self.Bad, match=re.escape(f"{tmp_path / 'f.bin'}: 2 bytes after the tail")):
+            self._reader(tmp_path, b"abcdef").last(4, "tail")
 
 
 class TestSplit:
