@@ -41,6 +41,7 @@ from .models import (
     _classifier_config,
     _require_finite,
     _require_role,
+    _require_same_widths,
     _train,
     _vae_step,
     classify,
@@ -58,7 +59,7 @@ DIRECTIONS = ("0to1", "1to0")
 VECTOR_NAMES = ("delta", "delta_reverse")  # Perturbation's vector fields, in payload order
 
 
-def _check_fields(norm_order: int, family: str, reg_weight: float) -> None:
+def _check_fields(norm_order: int, family: str, reg_weight: float, vector_count: int) -> None:
     """The rules an attack config and a learned perturbation share."""
     _require_finite(reg_weight=reg_weight)
     if reg_weight < 0:
@@ -67,6 +68,9 @@ def _check_fields(norm_order: int, family: str, reg_weight: float) -> None:
         raise ValueError(f"norm_order must be 1 or 2, got {norm_order}")
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    if family == "multiplicative" and vector_count > 1:
+        raise ValueError("per_direction needs the additive family: "
+                         "a multiplicative perturbation has one vector")
 
 
 @dataclass
@@ -87,7 +91,7 @@ class AttackConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        _check_fields(self.norm_order, self.family, self.reg_weight)
+        _check_fields(self.norm_order, self.family, self.reg_weight, 2 if self.per_direction else 1)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
@@ -96,9 +100,10 @@ class AttackConfig:
 class Perturbation:
     """A learned constant latent offset plus how it was obtained.
 
-    ``delta_reverse`` is only set when the attack was trained with one
-    independent vector per direction; otherwise the single ``delta`` is
-    added for 0-to-1 and subtracted for 1-to-0.
+    ``delta_reverse`` is only set when an additive attack was trained with
+    one independent vector per direction; otherwise the single ``delta`` is
+    added for 0-to-1 and subtracted for 1-to-0. A multiplicative
+    perturbation has ``delta`` alone.
     """
 
     delta: np.ndarray
@@ -109,7 +114,7 @@ class Perturbation:
     delta_reverse: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_fields(self.norm_order, self.family, self.reg_weight)
+        _check_fields(self.norm_order, self.family, self.reg_weight, len(self.vectors))
         if self.provenance not in MODES:
             raise ValueError(f"provenance must be one of {MODES}, got {self.provenance!r}")
         self.delta = np.asarray(self.delta, dtype=np.float64)
@@ -272,11 +277,7 @@ def learn_attack_frozen(vae: VaeParams, classifier: ClassifierParams, dataset: D
     judges the result and never shapes it.
     """
     _require_role(classifier, "attack", "the independent attack")
-    if classifier.image_dim != vae.image_dim or dataset.image_dim != vae.image_dim:
-        raise ShapeMismatchError(
-            f"image widths disagree: vae {vae.image_dim}, classifier "
-            f"{classifier.image_dim}, dataset {dataset.image_dim}"
-        )
+    _require_same_widths({"vae": vae, "classifier": classifier, "dataset": dataset})
     dataset.require_both_classes("learn_attack_frozen")
     learned = {}
     for key in dict.fromkeys((config.seed, config.batch_size) for config in configs):

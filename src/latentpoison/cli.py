@@ -22,7 +22,14 @@ from .config import ConfigError, load_config_file, merge_settings
 from .data import generate_synthetic, load_idx, save_idx, split
 from .evaluation import ROW_NAMES, evaluate_attack
 from .experiment import ExperimentError, ExperimentPlan, grid_plans, run_experiment
-from .models import ROLES, TrainConfig, train_classifier, train_vae
+from .models import (
+    ROLES,
+    TrainConfig,
+    _require_role,
+    _require_same_widths,
+    train_classifier,
+    train_vae,
+)
 from .reporting import render_grid, write_delta, write_report
 
 REG_WEIGHT_SWEEP = (0.001, 0.01, 0.1, 1.0)
@@ -145,6 +152,9 @@ def cmd_train_vae(args) -> int:
     recon_classifier = None
     if args.recon_classifier:
         recon_classifier, _ = load_checkpoint(args.recon_classifier, expect_kind="classifier")
+        _require_role(recon_classifier, "attack",
+                      f"{args.recon_classifier}: the reconstruction term")
+        _require_same_widths({args.recon_classifier: recon_classifier, args.images: dataset})
     _echo("train-vae", cfg)
     vae = train_vae(dataset, cfg, recon_classifier)
     save_checkpoint(vae, _out_file(args), config=dataclasses.asdict(cfg))
@@ -204,6 +214,8 @@ def cmd_learn_attack(args) -> int:
     if args.mode == "independent":
         vae, _ = load_checkpoint(args.vae, expect_kind="vae")
         classifier, _ = load_checkpoint(args.classifier, expect_kind="classifier")
+        _require_role(classifier, "attack", f"{args.classifier}: the independent attack")
+        _require_same_widths({args.vae: vae, args.classifier: classifier, args.images: dataset})
         networks = {}
         perturbations = learn_attack_frozen(vae, classifier, dataset, *configs)
     else:
@@ -232,6 +244,9 @@ def cmd_evaluate(args) -> int:
     vae, _ = load_checkpoint(args.vae, expect_kind="vae")
     perturbation, pert_config = load_checkpoint(args.perturbation, expect_kind="perturbation")
     classifier, _ = load_checkpoint(args.classifier, expect_kind="classifier")
+    _require_role(classifier, "eval", f"{args.classifier}: confidence tables")
+    _require_same_widths({args.vae: vae, args.perturbation: perturbation,
+                          args.classifier: classifier, args.images: dataset})
     echo = {
         "vae": str(args.vae),
         "perturbation": str(args.perturbation),

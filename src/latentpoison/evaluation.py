@@ -13,7 +13,15 @@ import numpy as np
 
 from .attack import DIRECTIONS, Perturbation, tamper
 from .data import Dataset
-from .models import ClassifierParams, VaeParams, _require_role, classify, decode, encode_mean
+from .models import (
+    ClassifierParams,
+    VaeParams,
+    _require_role,
+    _require_same_widths,
+    classify,
+    decode,
+    encode_mean,
+)
 
 # Half-width of the central interval covering 99.5% of a unit Gaussian.
 PRIOR_INTERVAL_HALFWIDTH = 2.807
@@ -40,7 +48,7 @@ class ConfidenceRow:
 
 @dataclass
 class AttackReport:
-    """Everything one experiment reports about a learned perturbation."""
+    """Everything one experiment reports about a learned perturbation, and the views it scored."""
 
     mode: str
     family: str
@@ -52,6 +60,7 @@ class AttackReport:
     detection_max: float
     sparsity_fraction: float
     config: dict = field(default_factory=dict)
+    views: dict = field(default_factory=dict, repr=False, compare=False)  # by direction
 
     def row(self, name: str) -> ConfidenceRow:
         for row in self.rows:
@@ -76,36 +85,30 @@ def decoded_view(vae: VaeParams, perturbation: Perturbation, test_set: Dataset,
                  direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The test images ``direction`` tampers with, their reconstructions and attacked decodes.
 
-    The source class is 0 for "0to1" and 1 for "1to0". Its images are
-    encoded once; the latent means are decoded as they are and tampered.
+    The source class is ``DIRECTIONS.index(direction)``; both must be present before any
+    encode. Its images are encoded once; the means are decoded as they are and tampered.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    test_set.require_both_classes("the evaluation test set")
     source_label = DIRECTIONS.index(direction)
     x = test_set.images[test_set.class_indices(source_label)]
-    if len(x) == 0:
-        raise ValueError(f"test set must contain both classes, has no class-{source_label} samples")
     z = encode_mean(x, vae)
     tampered = tamper(z, np.full(len(x), source_label), perturbation.vectors, perturbation.family)
     return x, decode(z, vae).data, decode(tampered, vae).data
 
 
-def confidence_table(
-    vae: VaeParams,
-    perturbation: Perturbation,
-    classifier: ClassifierParams,
-    test_set: Dataset,
-) -> list[ConfidenceRow]:
+def confidence_table(views: dict, classifier: ClassifierParams) -> list[ConfidenceRow]:
     """Mean and standard deviation of confidence for the six comparison groups.
 
-    Per class: the raw inputs, their reconstructions, and the decoded
-    tampered encodings of the opposite class moved into this class.
-    Attacked groups are scored against the direction's target label, so a
-    perfect attack matches the reconstruction rows exactly.
+    ``views`` maps each direction to its :func:`decoded_view`. Per class:
+    the raw inputs, their reconstructions, and the decoded tampered
+    encodings of the opposite class moved into this class. Attacked groups
+    are scored against the direction's target label, so a perfect attack
+    matches the reconstruction rows exactly.
     """
-    _require_role(classifier, "eval", "confidence tables")
-    x0, recon0, attacked0 = decoded_view(vae, perturbation, test_set, "0to1")
-    x1, recon1, attacked1 = decoded_view(vae, perturbation, test_set, "1to0")
+    x0, recon0, attacked0 = views["0to1"]
+    x1, recon1, attacked1 = views["1to0"]
     groups = {
         "original_class1": confidence(_scores(x1, classifier), 1),
         "reconstruction_class1": confidence(_scores(recon1, classifier), 1),
@@ -175,8 +178,12 @@ def evaluate_attack(
     config: dict | None = None,
     mode: str | None = None,
 ) -> AttackReport:
-    """Assemble the full report for one trained attack, over every vector's elements."""
-    rows = confidence_table(vae, perturbation, classifier, test_set)
+    """The full report for one trained attack, over every vector's elements, and its views."""
+    _require_role(classifier, "eval", "confidence tables")
+    _require_same_widths({"vae": vae, "perturbation": perturbation, "classifier": classifier,
+                          "dataset": test_set})
+    views = {d: decoded_view(vae, perturbation, test_set, d) for d in DIRECTIONS}
+    rows = confidence_table(views, classifier)
     plus, minus = epsilon_gap(rows)
     elements = np.concatenate(perturbation.vectors)
     probabilities = [detection_probability(v) for v in elements]
@@ -192,4 +199,5 @@ def evaluate_attack(
         detection_max=max(probabilities),
         sparsity_fraction=sparsity,
         config=dict(config or {}),
+        views=views,
     )

@@ -13,11 +13,9 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .attack import MODES, AttackConfig, Perturbation, learn_attack_protocol
+from .attack import DIRECTIONS, MODES, AttackConfig, Perturbation, learn_attack_protocol
 from .data import Dataset, generate_synthetic, split
-from .evaluation import AttackReport, decoded_view, evaluate_attack, unit_range
+from .evaluation import AttackReport, evaluate_attack, unit_range
 from .models import ClassifierParams, TrainConfig, VaeParams, _classifier_config, train_classifier
 from .checkpoint import save_checkpoint
 from .reporting import render_grid, write_delta, write_report
@@ -107,11 +105,6 @@ def make_dataset(plan: ExperimentPlan) -> tuple[Dataset, Dataset]:
     return split(full, plan.test_count, plan.data_seed)
 
 
-def _grid_images(pixels: np.ndarray, width: int, height: int) -> list[np.ndarray]:
-    count = min(GRID_IMAGES, pixels.shape[0])
-    return [pixels[i].reshape(height, width) for i in range(count)]
-
-
 def write_outputs(
     plan: ExperimentPlan,
     report: AttackReport,
@@ -119,8 +112,8 @@ def write_outputs(
     eval_classifier: ClassifierParams,
     attack_classifier: ClassifierParams | None,
     perturbation: Perturbation,
-    test_set: Dataset,
 ) -> None:
+    """Save the plan's checkpoints, report and dumps, and draw its PGMs from ``report.views``."""
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     echo = plan.as_dict()
@@ -131,17 +124,21 @@ def write_outputs(
     save_checkpoint(perturbation, out / "perturbation.ckpt", config=echo)
     write_report(report, out / "report.csv")
     write_delta(perturbation, out / "delta_elements.csv")
-    w, h = plan.width, plan.height
-    for label, direction in ((1, "1to0"), (0, "0to1")):
-        _, recon, attacked = decoded_view(vae, perturbation, test_set, direction)
-        render_grid(_grid_images(recon, w, h), GRID_COLUMNS, out / f"recon_class{label}.pgm")
-        render_grid(_grid_images(attacked, w, h), GRID_COLUMNS, out / f"attacked_{direction}.pgm")
+    for direction, (_, recon, attacked) in report.views.items():
         diff = unit_range(attacked - recon)
-        render_grid(_grid_images(diff, w, h), GRID_COLUMNS, out / f"diff_{direction}.pgm")
+        grids = {f"recon_class{DIRECTIONS.index(direction)}": recon,
+                 f"attacked_{direction}": attacked, f"diff_{direction}": diff}
+        for name, pixels in grids.items():
+            tiles = [image.reshape(plan.height, plan.width) for image in pixels[:GRID_IMAGES]]
+            render_grid(tiles, GRID_COLUMNS, out / f"{name}.pgm")
 
 
 def run_experiment(plan: ExperimentPlan) -> AttackReport:
-    """Execute the full pipeline for one plan and write all outputs."""
+    """Execute the full pipeline for one plan and write all outputs.
+
+    The report comes back without its views: the plan's PGMs hold them by
+    then, and a caller that keeps reports across plans keeps no pixels.
+    """
     train_set, test_set = _stage("data")(make_dataset, plan)
     eval_classifier = _stage("train-eval-classifier")(
         train_classifier, train_set, _classifier_config(plan.vae_config(), "eval"), "eval"
@@ -159,9 +156,9 @@ def run_experiment(plan: ExperimentPlan) -> AttackReport:
         mode=plan.mode,
     )
     _stage("write-outputs")(
-        write_outputs, plan, report, vae, eval_classifier, attack_classifier, perturbation, test_set
+        write_outputs, plan, report, vae, eval_classifier, attack_classifier, perturbation
     )
-    return report
+    return dataclasses.replace(report, views={})
 
 
 def grid_plans(

@@ -43,6 +43,22 @@ def _require_role(classifier: ClassifierParams, role: str, use: str) -> None:
         raise ValueError(f"{use} must use the {role} classifier, got role {classifier.role!r}")
 
 
+def _require_same_widths(parts: dict) -> None:
+    """The one width rule: the named parts' image widths agree, and so do their latent widths.
+
+    A part has an image width if it has ``image_dim`` (a VAE, a classifier,
+    a dataset) and a latent width if it has ``latent_dim`` (a VAE, a
+    perturbation). The names label the message: roles in the library,
+    file paths in the CLI.
+    """
+    for kind in ("image", "latent"):
+        widths = {name: getattr(part, f"{kind}_dim") for name, part in parts.items()
+                  if hasattr(part, f"{kind}_dim")}
+        if len(set(widths.values())) > 1:
+            listed = ", ".join(f"{name} {width}" for name, width in widths.items())
+            raise ShapeMismatchError(f"{kind} widths disagree: {listed}")
+
+
 def _require_finite(**settings: float) -> None:
     """Reject a NaN or infinite setting by name, before any training step can diverge."""
     for name, value in settings.items():
@@ -367,11 +383,7 @@ def _vae_step(dataset: Dataset, config: TrainConfig,
                 "recon_class_weight must be positive when a reconstruction "
                 "classifier is supplied"
             )
-        if recon_classifier.image_dim != dataset.image_dim:
-            raise ShapeMismatchError(
-                f"classifier expects {recon_classifier.image_dim} pixels, "
-                f"dataset has {dataset.image_dim}"
-            )
+        _require_same_widths({"classifier": recon_classifier, "dataset": dataset})
     vae = VaeParams.initialize(
         dataset.image_dim, config.latent_dim, stream(config.seed, PARAM_INIT)
     )

@@ -226,6 +226,13 @@ class TestPerturbationType:
             Perturbation(np.zeros(3), 2, "additive", 0.01, "independent",
                          delta_reverse=np.zeros(2))
 
+    def test_multiplicative_reverse_vector_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            Perturbation(np.zeros(3), 2, "multiplicative", 0.01, "independent",
+                         delta_reverse=np.zeros(3))
+        assert str(exc.value) == ("per_direction needs the additive family: "
+                                  "a multiplicative perturbation has one vector")
+
     def test_apply_uses_reverse_vector_when_present(self):
         pert = Perturbation(np.array([1.0]), 2, "additive", 0.0, "independent",
                             delta_reverse=np.array([10.0]))
@@ -251,6 +258,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AttackConfig(**kwargs)
 
+    def test_multiplicative_per_direction_rejected(self):
+        # tamper reads one multiplicative vector, so a second would train unused
+        with pytest.raises(ValueError) as exc:
+            AttackConfig(family="multiplicative", per_direction=True)
+        assert str(exc.value) == ("per_direction needs the additive family: "
+                                  "a multiplicative perturbation has one vector")
+
 
 class TestIndependentAttack:
     def test_zero_epochs_leaves_zeros(self, tiny_vae, tiny_classifiers, tiny_data):
@@ -267,6 +281,16 @@ class TestIndependentAttack:
         other = generate_synthetic(10, 10, 10, seed=0)
         with pytest.raises(ShapeMismatchError):
             learn_attack_independent(tiny_vae, attack_clf, other, AttackConfig(epochs=1))
+
+    def test_image_width_mismatch_names_the_roles(self, tiny_vae, tiny_classifiers, monkeypatch):
+        from latentpoison.data import generate_synthetic
+
+        attack_clf, _ = tiny_classifiers
+        monkeypatch.setattr(attack, "_latent_means", _no_encoding)
+        with pytest.raises(ShapeMismatchError) as exc:
+            learn_attack_independent(tiny_vae, attack_clf, generate_synthetic(10, 9, 8, seed=0),
+                                     AttackConfig(epochs=1))
+        assert str(exc.value) == "image widths disagree: vae 64, classifier 64, dataset 72"
 
     @pytest.mark.parametrize("per_direction", [False, True])
     def test_one_class_rejected_before_encoding(
@@ -340,9 +364,11 @@ class TestIndependentAttack:
         self, tiny_vae, tiny_classifiers, tiny_data, family
     ):
         attack_clf, _ = tiny_classifiers
-        config = AttackConfig(family=family, per_direction=True)
+        # a multiplicative perturbation has one vector
+        config = AttackConfig(family=family, per_direction=family == "additive")
         rng = np.random.default_rng(4)
-        vectors = [Tensor(rng.standard_normal(tiny_vae.latent_dim)) for _ in range(2)]
+        vectors = [Tensor(rng.standard_normal(tiny_vae.latent_dim))
+                   for _ in range(2 if config.per_direction else 1)]
         frozen = tiny_vae.parameters() + attack_clf.parameters()
         codes = encode(tiny_data.images, tiny_vae)[0].data
 

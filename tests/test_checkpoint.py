@@ -181,6 +181,16 @@ class TestMalformedDescriptor:
         with pytest.raises(CheckpointError, match=rf"dz\.ckpt.*{field}"):
             load_checkpoint(path)
 
+    def test_multiplicative_with_a_reverse_vector(self, tmp_path):
+        # a multiplicative perturbation has one vector; a second one would be dead weight
+        path = tmp_path / "dz.ckpt"
+        save_checkpoint(_artifact("perturbation"), path)
+        _rewrite_descriptor(path, lambda desc: desc.update({"family": "multiplicative"}))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (f"{path}: per_direction needs the additive family: "
+                                  "a multiplicative perturbation has one vector")
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_reg_weight(self, tmp_path, perturbation, value):
         path = tmp_path / "dz.ckpt"

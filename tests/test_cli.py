@@ -1,14 +1,24 @@
+import json
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latentpoison import attack, cli
-from latentpoison.models import TrainConfig
-from latentpoison.checkpoint import load_checkpoint
+from latentpoison.attack import Perturbation
+from latentpoison.models import TrainConfig, VaeParams
+from latentpoison.checkpoint import load_checkpoint, save_checkpoint
 from latentpoison.cli import _learn_attack_configs, build_parser, main
 from latentpoison.config import ConfigError
-from latentpoison.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset, load_idx, save_idx
+from latentpoison.data import (
+    IDX_IMAGE_MAGIC,
+    IDX_LABEL_MAGIC,
+    Dataset,
+    generate_synthetic,
+    load_idx,
+    save_idx,
+)
 from latentpoison.reporting import parse_report
 
 
@@ -351,6 +361,76 @@ class TestAttackAndEvaluate:
         assert captured.err == (f"error: {lbl}: {command.split()[0]} requires samples "
                                 "from both classes\n")
         assert _listing(tmp_path) == [Path("img.idx"), Path("lbl.idx")]
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def mismatched(tmp_path_factory):
+        """Inputs that disagree with ``artifacts``: 9x8 rows, a latent-6 VAE and a
+        checkpoint holding a multiplicative perturbation with a reverse vector."""
+        out = tmp_path_factory.mktemp("mismatched")
+        save_idx(generate_synthetic(20, 9, 8, seed=2), out / "wide-img.idx", out / "wide-lbl.idx")
+        save_checkpoint(VaeParams.initialize(64, 6, np.random.default_rng(0)), out / "vae6.ckpt")
+        path = out / "multiplicative.ckpt"
+        save_checkpoint(Perturbation(np.zeros(4), 2, "additive", 0.01, "independent",
+                                     delta_reverse=np.zeros(4)), path)
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[5:9])
+        desc = json.loads(blob[9 : 9 + length]) | {"family": "multiplicative"}
+        new = json.dumps(desc).encode("utf-8")
+        path.write_bytes(blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + length :])
+        return out
+
+    @pytest.mark.parametrize("command, error", [
+        ("learn-attack --mode independent --family multiplicative --per-direction"
+         " --vae {m}/no.ckpt --classifier {m}/no.ckpt --out-dir {out}"
+         " --images {m}/no.idx --labels {m}/no.idx",
+         "per_direction needs the additive family: a multiplicative perturbation has one vector"),
+        ("evaluate --vae {art}/vae.ckpt --perturbation {m}/multiplicative.ckpt"
+         " --classifier {art}/eval.ckpt --out-dir {out} {test}",
+         "{m}/multiplicative.ckpt: per_direction needs the additive family: "
+         "a multiplicative perturbation has one vector"),
+        ("evaluate --vae {m}/vae6.ckpt --perturbation {art}/perturbation.ckpt"
+         " --classifier {art}/eval.ckpt --out-dir {out} {test}",
+         "latent widths disagree: {m}/vae6.ckpt 6, {art}/perturbation.ckpt 4"),
+        ("evaluate --vae {art}/vae.ckpt --perturbation {art}/perturbation.ckpt"
+         " --classifier {art}/eval.ckpt --out-dir {out} {wide}",
+         "image widths disagree: {art}/vae.ckpt 64, {art}/eval.ckpt 64, {m}/wide-img.idx 72"),
+        ("evaluate --vae {art}/vae.ckpt --perturbation {art}/perturbation.ckpt"
+         " --classifier {art}/attack.ckpt --out-dir {out} {test}",
+         "{art}/attack.ckpt: confidence tables must use the eval classifier, got role 'attack'"),
+        ("train-vae --recon-classifier {art}/eval.ckpt --recon-class-weight 1.0"
+         " --out {out}/vae.ckpt {train}",
+         "{art}/eval.ckpt: the reconstruction term must use the attack classifier, "
+         "got role 'eval'"),
+        ("train-vae --recon-classifier {art}/attack.ckpt --recon-class-weight 1.0"
+         " --out {out}/vae.ckpt {wide}",
+         "image widths disagree: {art}/attack.ckpt 64, {m}/wide-img.idx 72"),
+        ("learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/attack.ckpt"
+         " --out-dir {out} {wide}",
+         "image widths disagree: {art}/vae.ckpt 64, {art}/attack.ckpt 64, {m}/wide-img.idx 72"),
+        ("learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/eval.ckpt"
+         " --out-dir {out} {train}",
+         "{art}/eval.ckpt: the independent attack must use the attack classifier, "
+         "got role 'eval'"),
+    ], ids=["learn-attack-multiplicative-per-direction", "evaluate-multiplicative-checkpoint",
+            "evaluate-latent-width", "evaluate-image-width", "evaluate-role",
+            "train-vae-role", "train-vae-image-width", "learn-attack-image-width",
+            "learn-attack-role"])
+    def test_mismatch_named_before_any_echo_or_work(
+        self, data_dir, artifacts, mismatched, tmp_path, capsys, monkeypatch, command, error
+    ):
+        for name in ("train_vae", "learn_attack_frozen", "evaluate_attack"):
+            monkeypatch.setattr(cli, name, _no_training)
+        fill = {
+            "art": artifacts, "m": mismatched, "out": tmp_path / "out",
+            "train": " ".join(_train_args(data_dir, [])),
+            "test": f"--images {data_dir}/test-images.idx --labels {data_dir}/test-labels.idx",
+            "wide": f"--images {mismatched}/wide-img.idx --labels {mismatched}/wide-lbl.idx",
+        }
+        code = main(command.format(**fill).split())
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {error.format(**fill)}\n")
+        assert _listing(tmp_path) == []
 
     def test_poisoning_writes_vae_too(self, data_dir, tmp_path):
         code = main([

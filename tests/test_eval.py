@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latentpoison import evaluation
 from latentpoison.attack import (
+    DIRECTIONS,
     AttackConfig,
     Perturbation,
     learn_attack_independent,
     tamper,
 )
+from latentpoison.autodiff import ShapeMismatchError
+from latentpoison.data import Dataset, generate_synthetic
 from latentpoison.evaluation import (
     PRIOR_INTERVAL_HALFWIDTH,
     ConfidenceRow,
@@ -30,6 +35,22 @@ unit_scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 def _zero_perturbation(latent_dim):
     return Perturbation(np.zeros(latent_dim), 2, "additive", 0.01, "independent")
+
+
+def _views(vae, perturbation, data):
+    return {d: decoded_view(vae, perturbation, data, d) for d in DIRECTIONS}
+
+
+def _perturbation(latent_dim, family, per_direction):
+    rng = np.random.default_rng(9)
+    delta, reverse = (rng.normal(0.0, 0.5, latent_dim) for _ in range(2))
+    return Perturbation(delta, 2, family, 0.01, "independent",
+                        delta_reverse=reverse if per_direction else None)
+
+
+VIEW_CASES = pytest.mark.parametrize("family, per_direction", [
+    ("additive", False), ("additive", True), ("multiplicative", False),
+], ids=["additive", "additive-per-direction", "multiplicative"])
 
 
 class TestConfidence:
@@ -52,8 +73,8 @@ class TestConfidenceTable:
         self, tiny_vae, tiny_classifiers, tiny_data
     ):
         _, eval_clf = tiny_classifiers
-        rows = confidence_table(tiny_vae, _zero_perturbation(tiny_vae.latent_dim),
-                                eval_clf, tiny_data)
+        rows = confidence_table(_views(tiny_vae, _zero_perturbation(tiny_vae.latent_dim),
+                                       tiny_data), eval_clf)
         by_name = {r.name: r for r in rows}
         # with delta 0 the attacked groups are the other class's
         # reconstructions scored against the flipped label
@@ -66,8 +87,8 @@ class TestConfidenceTable:
 
     def test_row_order_and_bounds(self, tiny_vae, tiny_classifiers, tiny_data):
         _, eval_clf = tiny_classifiers
-        rows = confidence_table(tiny_vae, _zero_perturbation(tiny_vae.latent_dim),
-                                eval_clf, tiny_data)
+        rows = confidence_table(_views(tiny_vae, _zero_perturbation(tiny_vae.latent_dim),
+                                       tiny_data), eval_clf)
         assert [r.name for r in rows] == [
             "original_class1", "reconstruction_class1", "attacked_0to1",
             "original_class0", "reconstruction_class0", "attacked_1to0",
@@ -79,8 +100,8 @@ class TestConfidenceTable:
     def test_requires_eval_role(self, tiny_vae, tiny_classifiers, tiny_data):
         attack_clf, _ = tiny_classifiers
         with pytest.raises(ValueError, match="eval"):
-            confidence_table(tiny_vae, _zero_perturbation(tiny_vae.latent_dim),
-                             attack_clf, tiny_data)
+            evaluate_attack(tiny_vae, _zero_perturbation(tiny_vae.latent_dim),
+                            attack_clf, tiny_data)
 
     def test_empty_class_rejected(self, tiny_vae, tiny_classifiers, tiny_data):
         from latentpoison.data import Dataset
@@ -93,14 +114,14 @@ class TestConfidenceTable:
             tiny_data.height,
         )
         with pytest.raises(ValueError, match="both classes"):
-            confidence_table(tiny_vae, _zero_perturbation(tiny_vae.latent_dim),
-                             eval_clf, single)
+            evaluate_attack(tiny_vae, _zero_perturbation(tiny_vae.latent_dim),
+                            eval_clf, single)
 
     def test_deterministic(self, tiny_vae, tiny_classifiers, tiny_data):
         _, eval_clf = tiny_classifiers
         pert = _zero_perturbation(tiny_vae.latent_dim)
-        a = confidence_table(tiny_vae, pert, eval_clf, tiny_data)
-        b = confidence_table(tiny_vae, pert, eval_clf, tiny_data)
+        a = confidence_table(_views(tiny_vae, pert, tiny_data), eval_clf)
+        b = confidence_table(_views(tiny_vae, pert, tiny_data), eval_clf)
         assert [(r.name, r.mean, r.sd) for r in a] == [(r.name, r.mean, r.sd) for r in b]
 
 
@@ -215,9 +236,7 @@ class TestPixelDiff:
 
 
 class TestDecodedView:
-    @pytest.mark.parametrize("family, per_direction", [
-        ("additive", False), ("additive", True), ("multiplicative", False),
-    ], ids=["additive", "additive-per-direction", "multiplicative"])
+    @VIEW_CASES
     def test_attacked_decodes_equal_the_reference_transform(
         self, tiny_vae, tiny_data, family, per_direction
     ):
@@ -231,6 +250,18 @@ class TestDecodedView:
             reference = tamper(z, np.full(len(z), label), [vector], family)
             _, _, attacked = decoded_view(tiny_vae, pert, tiny_data, direction)
             assert attacked.tobytes() == decode(reference, tiny_vae).data.tobytes()
+
+    @VIEW_CASES
+    def test_report_views_are_bitwise_the_decoded_views(
+        self, tiny_vae, tiny_classifiers, tiny_data, family, per_direction
+    ):
+        _, eval_clf = tiny_classifiers
+        pert = _perturbation(tiny_vae.latent_dim, family, per_direction)
+        report = evaluate_attack(tiny_vae, pert, eval_clf, tiny_data)
+        assert list(report.views) == list(DIRECTIONS)
+        for direction in DIRECTIONS:
+            view = decoded_view(tiny_vae, pert, tiny_data, direction)
+            assert [a.tobytes() for a in report.views[direction]] == [a.tobytes() for a in view]
 
     def test_unknown_direction_rejected(self, tiny_vae, tiny_data):
         pert = _zero_perturbation(tiny_vae.latent_dim)
@@ -268,3 +299,49 @@ class TestEvaluateAttack:
         assert len(report.detection_probabilities) == 2 * dim
         assert report.detection_max == detection_probability(0.1)
         assert report.sparsity_fraction == 0.5
+
+    def test_views_are_left_out_of_repr_and_equality(self, tiny_vae, tiny_classifiers, tiny_data):
+        _, eval_clf = tiny_classifiers
+        report = evaluate_attack(tiny_vae, _zero_perturbation(tiny_vae.latent_dim), eval_clf,
+                                 tiny_data)
+        assert "views" not in repr(report)
+        assert report == dataclasses.replace(report, views={})
+
+    @pytest.fixture
+    def no_encoding(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rejected evaluation must not encode")
+
+        monkeypatch.setattr(evaluation, "encode_mean", refuse)
+
+    def test_one_class_rejected_before_encoding(self, tiny_vae, tiny_classifiers, tiny_data,
+                                                no_encoding):
+        _, eval_clf = tiny_classifiers
+        rows = tiny_data.class_indices(0)
+        single = Dataset(tiny_data.images[rows], tiny_data.labels[rows], 8, 8)
+        with pytest.raises(ValueError) as exc:
+            evaluate_attack(tiny_vae, _zero_perturbation(tiny_vae.latent_dim), eval_clf, single)
+        assert str(exc.value) == "the evaluation test set requires samples from both classes"
+
+    @pytest.mark.parametrize("case", ["latent", "image"])
+    def test_width_mismatch_rejected_before_encoding(self, tiny_vae, tiny_classifiers, tiny_data,
+                                                     no_encoding, case):
+        _, eval_clf = tiny_classifiers
+        if case == "latent":
+            pert, data = _zero_perturbation(4), tiny_data
+            expected = "latent widths disagree: vae 6, perturbation 4"
+        else:
+            pert, data = _zero_perturbation(6), generate_synthetic(10, 9, 8, seed=0)
+            expected = "image widths disagree: vae 64, classifier 64, dataset 72"
+        with pytest.raises(ShapeMismatchError) as exc:
+            evaluate_attack(tiny_vae, pert, eval_clf, data)
+        assert str(exc.value) == expected
+
+    def test_attack_classifier_rejected_before_encoding(self, tiny_vae, tiny_classifiers,
+                                                        tiny_data, no_encoding):
+        attack_clf, _ = tiny_classifiers
+        with pytest.raises(ValueError) as exc:
+            evaluate_attack(tiny_vae, _zero_perturbation(tiny_vae.latent_dim), attack_clf,
+                            tiny_data)
+        assert str(exc.value) == ("confidence tables must use the eval classifier, "
+                                  "got role 'attack'")

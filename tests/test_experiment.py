@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from latentpoison import evaluation
 from latentpoison.attack import learn_attack_protocol
 from latentpoison.checkpoint import load_checkpoint
 from latentpoison.experiment import (
@@ -13,6 +14,7 @@ from latentpoison.experiment import (
     make_dataset,
     run_experiment,
 )
+from latentpoison.models import encode_mean
 from latentpoison.reporting import parse_report
 
 
@@ -101,6 +103,21 @@ class TestRunExperiment:
         assert meta["config.sample_count"] == "60"
         assert len(rows) == 6
         assert [r.mean for r in rows] == [r.mean for r in report.rows]
+
+    def test_each_test_class_is_encoded_once(self, tmp_path, monkeypatch):
+        # the report's views are scored and drawn, so no test row is encoded twice
+        encoded = []
+
+        def counting(x, vae):
+            encoded.append(len(x))
+            return encode_mean(x, vae)
+
+        monkeypatch.setattr(evaluation, "encode_mean", counting)
+        plan = _tiny_plan(tmp_path / "run")
+        report = run_experiment(plan)
+        _, test_set = make_dataset(plan)
+        assert sorted(encoded) == sorted(len(test_set.class_indices(c)) for c in (0, 1))
+        assert report.views == {}  # drawn by then, so a caller holding reports holds no pixels
 
     def test_stage_error_names_stage(self, tmp_path):
         plan = _tiny_plan(tmp_path, sample_count=61)  # odd count breaks generation

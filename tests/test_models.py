@@ -248,6 +248,13 @@ class TestTrainVae:
         with pytest.raises(ShapeMismatchError):
             train_vae(tiny_data, config, recon_classifier=clf)
 
+    def test_classifier_width_mismatch_names_the_roles(self, tiny_data):
+        clf = ClassifierParams.initialize(100, np.random.default_rng(0), role="attack")
+        config = TrainConfig(epochs=1, recon_class_weight=1.0)
+        with pytest.raises(ShapeMismatchError) as exc:
+            train_vae(tiny_data, config, recon_classifier=clf)
+        assert str(exc.value) == "image widths disagree: classifier 100, dataset 64"
+
     def test_same_seed_bitwise_identical(self, tiny_data):
         config = TrainConfig(epochs=2, batch_size=16, latent_dim=4, seed=13)
         a = train_vae(tiny_data, config)
