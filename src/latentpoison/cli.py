@@ -18,54 +18,39 @@ from pathlib import Path
 
 from .attack import MODES, AttackConfig, learn_attack_frozen, learn_attack_protocol
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, load_config_file, merge_settings
+from .config import ConfigError, flag_name, load_config_file, merge_settings
 from .data import generate_synthetic, load_idx, save_idx, split
 from .evaluation import ROW_NAMES, evaluate_attack
 from .experiment import ExperimentError, ExperimentPlan, grid_plans, run_experiment
-from .models import (
-    ROLES,
-    TrainConfig,
-    _require_role,
-    _require_same_widths,
-    train_classifier,
-    train_vae,
-)
+from .models import (ROLES, TrainConfig, _require_role, _require_same_widths, train_classifier,
+                     train_vae)
 from .reporting import render_grid, write_delta, write_report
 
 REG_WEIGHT_SWEEP = (0.001, 0.01, 0.1, 1.0)
 GRID_FIXED = ("mode", "family", "norm_order", "out_dir")  # run-grid sets these per plan
 CLASSIFIER_FIXED = ("kl_weight", "latent_dim", "recon_class_weight")  # VAE-only settings
 # learn-attack's VAE flags by TrainConfig field; each lands in args.vae_<field>
-VAE_FLAGS = {
-    "epochs": "--vae-epochs",
-    "lr": "--vae-lr",
-    "seed": "--vae-seed",
-    "kl_weight": "--kl-weight",
-    "recon_class_weight": "--recon-class-weight",
-    "latent_dim": "--latent-dim",
-}
-
-
-def _flag_name(field_name: str) -> str:
-    return "--" + field_name.replace("_", "-")
+VAE_FLAGS = {"epochs": "--vae-epochs", "lr": "--vae-lr", "seed": "--vae-seed",
+             "kl_weight": "--kl-weight", "recon_class_weight": "--recon-class-weight",
+             "latent_dim": "--latent-dim"}
 
 
 def _add_dataclass_flags(parser: argparse.ArgumentParser, template, skip=()) -> None:
-    """One long option per dataclass field, defaulting to "not provided"."""
+    """``--config`` and one long option per dataclass field, defaulting to "not provided"."""
+    parser.add_argument("--config")
     for f in dataclasses.fields(template):
         if f.name in skip:
             continue
         default = getattr(template, f.name)
-        if isinstance(default, bool):
-            parser.add_argument(
-                _flag_name(f.name), dest=f.name, action=argparse.BooleanOptionalAction,
-                default=None, help=f"default {default}",
-            )
-        else:
-            parser.add_argument(
-                _flag_name(f.name), dest=f.name, type=type(default), default=None,
-                help=f"default {default}",
-            )
+        kind = ({"action": argparse.BooleanOptionalAction} if isinstance(default, bool)
+                else {"type": type(default)})
+        parser.add_argument(flag_name(f.name), dest=f.name, default=None,
+                            help=f"default {default}", **kind)
+
+
+def _add_required(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, required=True)
 
 
 def _merge(args: argparse.Namespace, template, fixed=()):
@@ -115,13 +100,14 @@ class GenDataArgs:
     seed: int = 7
     test_count: int = 100
 
+    def __post_init__(self):
+        if self.test_count < 0:
+            raise ValueError(f"test_count must be non-negative (0 writes no split), "
+                             f"got {self.test_count}")
+
 
 def cmd_gen_data(args) -> int:
     cfg = _merge(args, GenDataArgs())
-    if cfg.test_count < 0:
-        raise ConfigError(
-            f"test_count must be non-negative (0 writes no split), got {cfg.test_count}"
-        )
     data = generate_synthetic(cfg.count, cfg.width, cfg.height, cfg.seed)
     parts = split(data, cfg.test_count, cfg.seed) if cfg.test_count > 0 else None
     _echo("gen-data", cfg)  # only once the settings are accepted, so a rejected run prints none
@@ -138,8 +124,23 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_dataset(args):
-    return load_idx(args.images, args.labels, positive_labels={1})
+def _load_inputs(args, both_classes=True, role=None, **kinds):
+    """A command's dataset, and ``(params, config)`` per given checkpoint argument in ``kinds``.
+
+    One pass, before any echo, checks both classes (if ``both_classes``), each checkpoint's
+    kind, a classifier's role (``role`` is ``(role, use)``) and all widths, naming files.
+    """
+    dataset = load_idx(args.images, args.labels, positive_labels={1})
+    if both_classes:
+        dataset.require_both_classes(f"{args.labels}: {args.command}")
+    paths = {name: getattr(args, name) for name in kinds if getattr(args, name)}
+    loaded = {name: load_checkpoint(path, expect_kind=kinds[name]) for name, path in paths.items()}
+    for name, (params, _) in loaded.items():
+        if kinds[name] == "classifier":
+            _require_role(params, role[0], f"{paths[name]}: {role[1]}")
+    _require_same_widths({paths[name]: params for name, (params, _) in loaded.items()}
+                         | {args.images: dataset})
+    return dataset, loaded
 
 
 def cmd_train_vae(args) -> int:
@@ -148,13 +149,13 @@ def cmd_train_vae(args) -> int:
     if fixed and args.recon_class_weight is not None:
         raise ConfigError("--recon-class-weight needs --recon-classifier")
     cfg = _merge(args, TrainConfig(), fixed=fixed)
-    dataset = _load_dataset(args)
-    recon_classifier = None
-    if args.recon_classifier:
-        recon_classifier, _ = load_checkpoint(args.recon_classifier, expect_kind="classifier")
-        _require_role(recon_classifier, "attack",
-                      f"{args.recon_classifier}: the reconstruction term")
-        _require_same_widths({args.recon_classifier: recon_classifier, args.images: dataset})
+    if args.recon_classifier and cfg.recon_class_weight <= 0:
+        raise ConfigError(f"--recon-classifier needs --recon-class-weight > 0, "
+                          f"got {cfg.recon_class_weight}")
+    dataset, loaded = _load_inputs(args, both_classes=False,
+                                   role=("attack", "the reconstruction term"),
+                                   recon_classifier="classifier")
+    recon_classifier, _ = loaded.get("recon_classifier", (None, None))
     _echo("train-vae", cfg)
     vae = train_vae(dataset, cfg, recon_classifier)
     save_checkpoint(vae, _out_file(args), config=dataclasses.asdict(cfg))
@@ -164,8 +165,7 @@ def cmd_train_vae(args) -> int:
 
 def cmd_train_classifier(args) -> int:
     cfg = _merge(args, TrainConfig(), fixed=CLASSIFIER_FIXED)
-    dataset = _load_dataset(args)
-    dataset.require_both_classes(f"{args.labels}: train-classifier")
+    dataset, _ = _load_inputs(args)
     _echo("train-classifier", cfg)
     params = train_classifier(dataset, cfg, role=args.role)
     save_checkpoint(params, _out_file(args), config=dataclasses.asdict(cfg))
@@ -186,7 +186,8 @@ def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig, dict[str, st
     file_values = load_config_file(args.config) if args.config else {}
     fixed = ("vae_batch_size", "reg_weight") if args.sweep else ("vae_batch_size",)
     attack_cfg, vae_cfg = merge_settings(
-        [(AttackConfig(), ""), (TrainConfig(), "vae_")], args.config, file_values, args, fixed
+        [(AttackConfig(), ""), (TrainConfig(), "vae_")], args.config, file_values, args, fixed,
+        flag_names={f"vae_{field}": flag for field, flag in VAE_FLAGS.items()},
     )
     given = {k[len("vae_") :]: k for k in file_values if k.startswith("vae_")}
     given |= {f: flag for f, flag in VAE_FLAGS.items() if getattr(args, f"vae_{f}") is not None}
@@ -206,16 +207,16 @@ def cmd_learn_attack(args) -> int:
             unused.append(vae_given["recon_class_weight"])  # only poisoning+class has that term
     if unused:
         raise ConfigError(f"{args.mode} mode does not use {', '.join(unused)}")
-    dataset = _load_dataset(args)
-    dataset.require_both_classes(f"{args.labels}: learn-attack")
+    if args.mode == "poisoning+class" and vae_cfg.recon_class_weight <= 0:
+        raise ConfigError(f"--mode poisoning+class needs --recon-class-weight > 0, "
+                          f"got {vae_cfg.recon_class_weight}")
+    dataset, loaded = _load_inputs(args, role=("attack", "the independent attack"),
+                                   vae="vae", classifier="classifier")
     weights = REG_WEIGHT_SWEEP if args.sweep else (attack_cfg.reg_weight,)
     configs = [dataclasses.replace(attack_cfg, reg_weight=weight) for weight in weights]
     echo = {"mode": args.mode}
     if args.mode == "independent":
-        vae, _ = load_checkpoint(args.vae, expect_kind="vae")
-        classifier, _ = load_checkpoint(args.classifier, expect_kind="classifier")
-        _require_role(classifier, "attack", f"{args.classifier}: the independent attack")
-        _require_same_widths({args.vae: vae, args.classifier: classifier, args.images: dataset})
+        (vae, _), (classifier, _) = loaded.values()
         networks = {}
         perturbations = learn_attack_frozen(vae, classifier, dataset, *configs)
     else:
@@ -239,21 +240,11 @@ def cmd_learn_attack(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = _load_dataset(args)
-    dataset.require_both_classes(f"{args.labels}: evaluate")
-    vae, _ = load_checkpoint(args.vae, expect_kind="vae")
-    perturbation, pert_config = load_checkpoint(args.perturbation, expect_kind="perturbation")
-    classifier, _ = load_checkpoint(args.classifier, expect_kind="classifier")
-    _require_role(classifier, "eval", f"{args.classifier}: confidence tables")
-    _require_same_widths({args.vae: vae, args.perturbation: perturbation,
-                          args.classifier: classifier, args.images: dataset})
-    echo = {
-        "vae": str(args.vae),
-        "perturbation": str(args.perturbation),
-        "classifier": str(args.classifier),
-        "images": str(args.images),
-        "labels": str(args.labels),
-    }
+    dataset, loaded = _load_inputs(args, role=("eval", "confidence tables"), vae="vae",
+                                   perturbation="perturbation", classifier="classifier")
+    (vae, _), (perturbation, pert_config), (classifier, _) = loaded.values()
+    echo = {name: str(getattr(args, name))
+            for name in ("vae", "perturbation", "classifier", "images", "labels")}
     if pert_config:
         echo |= {f"attack_{k}": v for k, v in pert_config.items()}
     report = evaluate_attack(vae, perturbation, classifier, dataset, config=echo)
@@ -273,9 +264,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_run_grid(args) -> int:
     base = _merge(args, ExperimentPlan(), fixed=GRID_FIXED)
-    plans = grid_plans(
-        args.out_dir, base=base, include_multiplicative=args.include_multiplicative
-    )
+    plans = grid_plans(args.out_dir, base=base, include_multiplicative=args.include_multiplicative)
     print(f"running {len(plans)} plans under {args.out_dir}")
     results = []
     for plan in plans:
@@ -302,17 +291,18 @@ def cmd_run_grid(args) -> int:
 
 
 def cmd_render(args) -> int:
-    dataset = _load_dataset(args)
+    for flag, value in (("--count", args.count), ("--columns", args.columns)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+    dataset, _ = _load_inputs(args, both_classes=False)
+    images = dataset.images
     if args.label is not None:
-        images = dataset.images[dataset.class_indices(args.label)]
-    else:
-        images = dataset.images
-    count = min(args.count, images.shape[0])
-    if count == 0:
-        raise ConfigError("no images to render")
-    tiles = [images[i].reshape(dataset.height, dataset.width) for i in range(count)]
+        images = images[dataset.class_indices(args.label)]
+    tiles = [image.reshape(dataset.height, dataset.width) for image in images[: args.count]]
+    if not tiles:
+        raise ConfigError(f"{args.labels}: no samples of --label {args.label}")
     render_grid(tiles, args.columns, _out_file(args))
-    print(f"wrote {args.out} ({count} images)")
+    print(f"wrote {args.out} ({len(tiles)} images)")
     return 0
 
 
@@ -324,35 +314,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic two-class dataset as IDX files")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config")
+    _add_required(p, "--out-dir")
     _add_dataclass_flags(p, GenDataArgs())
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-vae", help="train the encoder/decoder pair")
-    p.add_argument("--images", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
+    _add_required(p, "--images", "--labels", "--out")
     p.add_argument("--recon-classifier", help="classifier checkpoint for the reconstruction term")
     _add_dataclass_flags(p, TrainConfig())
     p.set_defaults(func=cmd_train_vae)
 
     p = sub.add_parser("train-classifier", help="train a binary pixel classifier")
-    p.add_argument("--images", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
+    _add_required(p, "--images", "--labels", "--out")
     p.add_argument("--role", choices=ROLES, required=True)
-    p.add_argument("--config")
     _add_dataclass_flags(p, TrainConfig(), skip=CLASSIFIER_FIXED)
     p.set_defaults(func=cmd_train_classifier)
 
     p = sub.add_parser("learn-attack", help="learn the constant latent perturbation")
     p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--images", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config")
+    _add_required(p, "--images", "--labels", "--out-dir")
     p.add_argument("--vae", help="VAE checkpoint (independent mode)")
     p.add_argument("--classifier", help="classifier checkpoint (independent mode)")
     p.add_argument("--sweep", action="store_true",
@@ -365,25 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_learn_attack)
 
     p = sub.add_parser("evaluate", help="score a perturbation and write the report")
-    p.add_argument("--vae", required=True)
-    p.add_argument("--perturbation", required=True)
+    _add_required(p, "--vae", "--perturbation")
     p.add_argument("--classifier", required=True, help="eval-role classifier checkpoint")
-    p.add_argument("--images", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out-dir", required=True)
+    _add_required(p, "--images", "--labels", "--out-dir")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run-grid", help="run the attack-mode by norm-order experiment grid")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config")
+    _add_required(p, "--out-dir")
     p.add_argument("--include-multiplicative", action="store_true")
     _add_dataclass_flags(p, ExperimentPlan(), skip=GRID_FIXED)
     p.set_defaults(func=cmd_run_grid)
 
     p = sub.add_parser("render", help="tile IDX images into a PGM grid")
-    p.add_argument("--images", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
+    _add_required(p, "--images", "--labels", "--out")
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--columns", type=int, default=4)
     p.add_argument("--label", type=int, choices=(0, 1), default=None)

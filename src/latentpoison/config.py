@@ -1,8 +1,8 @@
 """Plain-text configuration files: one ``key = value`` per line.
 
 Blank lines and ``#`` comments are ignored. Values are coerced to the
-type of the matching dataclass field; unknown, fixed or malformed keys
-are errors naming the file and the key, never silently dropped.
+type of the matching dataclass field; unknown, fixed, malformed or
+rule-breaking values are errors naming the file and key, or the flag.
 """
 
 from __future__ import annotations
@@ -56,7 +56,26 @@ def _coerce(key: str, value: str, template, path) -> object:
     return value
 
 
-def merge_settings(parts, path, file_values: dict[str, str], flags, fixed=()) -> list:
+def flag_name(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _build(template, values: dict, origins: dict):
+    """``template`` with ``values``; a rule error names the first value, in order, it rejects."""
+    try:
+        return dataclasses.replace(template, **values)
+    except ValueError:
+        applied = {}
+        for name, value in values.items():
+            applied[name] = value
+            try:
+                dataclasses.replace(template, **applied)
+            except ValueError as exc:
+                raise ConfigError(f"{origins[name]}: {exc}") from exc
+        raise
+
+
+def merge_settings(parts, path, file_values: dict[str, str], flags, fixed=(), flag_names=None) -> list:
     """One dataclass per ``(template, prefix)`` part: defaults < config file < flags.
 
     A setting is named ``prefix + field``, both as a key of ``file_values``
@@ -64,11 +83,13 @@ def merge_settings(parts, path, file_values: dict[str, str], flags, fixed=()) ->
     namespace, where None means "not given"). Names in ``fixed`` belong to
     the command: a file may not set them and their flags are not read.
     Every file key is checked and coerced before any flag is overlaid, and
-    each dataclass is built once, from its final values.
+    each dataclass is built once, from its final values. A value its rules
+    reject is named by file key or flag: ``flag_names[key]``, else :func:`flag_name`.
     """
     known = {prefix + f.name: (i, f.name) for i, (template, prefix) in enumerate(parts)
              for f in dataclasses.fields(template) if prefix + f.name not in fixed}
     updates = [{} for _ in parts]
+    origins = [{} for _ in parts]
     for key, value in file_values.items():
         if key in fixed:
             raise ConfigError(f"{path}: key {key!r} is fixed by this command")
@@ -77,7 +98,10 @@ def merge_settings(parts, path, file_values: dict[str, str], flags, fixed=()) ->
                               f"known keys: {', '.join(sorted(known))}")
         i, name = known[key]
         updates[i][name] = _coerce(key, value, getattr(parts[i][0], name), path)
+        origins[i][name] = f"{path}: key {key!r}"
     for key, (i, name) in known.items():
         if getattr(flags, key, None) is not None:
             updates[i][name] = getattr(flags, key)
-    return [dataclasses.replace(template, **values) for (template, _), values in zip(parts, updates)]
+            origins[i][name] = (flag_names or {}).get(key, flag_name(key))
+    return [_build(template, values, named)
+            for (template, _), values, named in zip(parts, updates, origins)]

@@ -97,8 +97,10 @@ class TrainConfig:
             )
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1 or self.latent_dim < 1:
-            raise ValueError("batch_size and latent_dim must be at least 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.latent_dim < 1:
+            raise ValueError(f"latent_dim must be at least 1, got {self.latent_dim}")
 
 
 def _classifier_config(config: TrainConfig, role: str) -> TrainConfig:

@@ -42,6 +42,51 @@ def _train_args(data_dir, extra):
     ]
 
 
+@pytest.fixture(scope="module")
+def artifacts(data_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts")
+    assert main([
+        "train-vae", *_train_args(data_dir, []),
+        "--out", str(out / "vae.ckpt"),
+        "--epochs", "3", "--batch-size", "16", "--latent-dim", "4", "--seed", "5",
+    ]) == 0
+    for role in ("attack", "eval"):
+        assert main([
+            "train-classifier", *_train_args(data_dir, []),
+            "--out", str(out / f"{role}.ckpt"), "--role", role,
+            "--epochs", "3", "--batch-size", "16", "--seed", "6" if role == "attack" else "7",
+        ]) == 0
+    assert main([
+        "learn-attack", "--mode", "independent", *_train_args(data_dir, []),
+        "--vae", str(out / "vae.ckpt"), "--classifier", str(out / "attack.ckpt"),
+        "--out-dir", str(out), "--epochs", "3", "--seed", "8",
+    ]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def mismatched(tmp_path_factory):
+    """Inputs that disagree with ``artifacts``: 9x8 rows, a latent-6 VAE, a
+    checkpoint holding a multiplicative perturbation with a reverse vector,
+    and an 8x8 pair whose labels hold class 0 only."""
+    out = tmp_path_factory.mktemp("mismatched")
+    save_idx(generate_synthetic(20, 9, 8, seed=2), out / "wide-img.idx", out / "wide-lbl.idx")
+    data = generate_synthetic(20, 8, 8, seed=2)
+    rows = data.class_indices(0)
+    save_idx(Dataset(data.images[rows], data.labels[rows], 8, 8),
+             out / "one-img.idx", out / "one-lbl.idx")
+    save_checkpoint(VaeParams.initialize(64, 6, np.random.default_rng(0)), out / "vae6.ckpt")
+    path = out / "multiplicative.ckpt"
+    save_checkpoint(Perturbation(np.zeros(4), 2, "additive", 0.01, "independent",
+                                 delta_reverse=np.zeros(4)), path)
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[5:9])
+    desc = json.loads(blob[9 : 9 + length]) | {"family": "multiplicative"}
+    new = json.dumps(desc).encode("utf-8")
+    path.write_bytes(blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + length :])
+    return out
+
+
 class TestGenData:
     def test_writes_all_four_files(self, data_dir):
         for name in ("train-images.idx", "train-labels.idx", "test-images.idx", "test-labels.idx"):
@@ -241,40 +286,10 @@ class TestLearnAttackConfigMerge:
 
 
 class TestAttackAndEvaluate:
-    @pytest.fixture(scope="class")
-    @staticmethod
-    def artifacts(data_dir, tmp_path_factory):
-        out = tmp_path_factory.mktemp("artifacts")
-        assert main([
-            "train-vae", *_train_args(data_dir, []),
-            "--out", str(out / "vae.ckpt"),
-            "--epochs", "3", "--batch-size", "16", "--latent-dim", "4", "--seed", "5",
-        ]) == 0
-        for role in ("attack", "eval"):
-            assert main([
-                "train-classifier", *_train_args(data_dir, []),
-                "--out", str(out / f"{role}.ckpt"), "--role", role,
-                "--epochs", "3", "--batch-size", "16", "--seed", "6" if role == "attack" else "7",
-            ]) == 0
-        assert main([
-            "learn-attack", "--mode", "independent", *_train_args(data_dir, []),
-            "--vae", str(out / "vae.ckpt"), "--classifier", str(out / "attack.ckpt"),
-            "--out-dir", str(out), "--epochs", "3", "--seed", "8",
-        ]) == 0
-        return out
-
     def test_independent_attack_writes_perturbation(self, artifacts):
         pert, config = load_checkpoint(artifacts / "perturbation.ckpt", expect_kind="perturbation")
         assert pert.provenance == "independent"
         assert config["mode"] == "independent"
-
-    def test_independent_requires_artifacts(self, data_dir, tmp_path, capsys):
-        code = main([
-            "learn-attack", "--mode", "independent", *_train_args(data_dir, []),
-            "--out-dir", str(tmp_path), "--epochs", "1",
-        ])
-        assert code == 2
-        assert "requires --vae and --classifier" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode, settings, flags, named", [
         ("independent", "", ["--vae-epochs", "50", "--kl-weight", "9"],
@@ -302,16 +317,6 @@ class TestAttackAndEvaluate:
         assert code == 2
         assert f"{mode} mode does not use {named}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_missing_checkpoint_leaves_no_out_dir(self, data_dir, artifacts, tmp_path, capsys):
-        code = main([
-            "learn-attack", "--mode", "independent", *_train_args(data_dir, []),
-            "--vae", str(tmp_path / "nope.ckpt"), "--classifier", str(artifacts / "attack.ckpt"),
-            "--out-dir", str(tmp_path / "la"), "--epochs", "1",
-        ])
-        assert code == 2
-        assert "nope.ckpt" in capsys.readouterr().err
-        assert not (tmp_path / "la").exists()
 
     @pytest.mark.parametrize("command, wrong_role", [
         ("learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/eval.ckpt"
@@ -362,29 +367,12 @@ class TestAttackAndEvaluate:
                                 "from both classes\n")
         assert _listing(tmp_path) == [Path("img.idx"), Path("lbl.idx")]
 
-    @pytest.fixture(scope="class")
-    @staticmethod
-    def mismatched(tmp_path_factory):
-        """Inputs that disagree with ``artifacts``: 9x8 rows, a latent-6 VAE and a
-        checkpoint holding a multiplicative perturbation with a reverse vector."""
-        out = tmp_path_factory.mktemp("mismatched")
-        save_idx(generate_synthetic(20, 9, 8, seed=2), out / "wide-img.idx", out / "wide-lbl.idx")
-        save_checkpoint(VaeParams.initialize(64, 6, np.random.default_rng(0)), out / "vae6.ckpt")
-        path = out / "multiplicative.ckpt"
-        save_checkpoint(Perturbation(np.zeros(4), 2, "additive", 0.01, "independent",
-                                     delta_reverse=np.zeros(4)), path)
-        blob = path.read_bytes()
-        (length,) = struct.unpack("<I", blob[5:9])
-        desc = json.loads(blob[9 : 9 + length]) | {"family": "multiplicative"}
-        new = json.dumps(desc).encode("utf-8")
-        path.write_bytes(blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + length :])
-        return out
-
     @pytest.mark.parametrize("command, error", [
         ("learn-attack --mode independent --family multiplicative --per-direction"
          " --vae {m}/no.ckpt --classifier {m}/no.ckpt --out-dir {out}"
          " --images {m}/no.idx --labels {m}/no.idx",
-         "per_direction needs the additive family: a multiplicative perturbation has one vector"),
+         "--per-direction: per_direction needs the additive family: "
+         "a multiplicative perturbation has one vector"),
         ("evaluate --vae {art}/vae.ckpt --perturbation {m}/multiplicative.ckpt"
          " --classifier {art}/eval.ckpt --out-dir {out} {test}",
          "{m}/multiplicative.ckpt: per_direction needs the additive family: "
@@ -512,19 +500,6 @@ class TestAttackAndEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'hidden'" in err
 
-    def test_evaluate_rejects_attack_classifier(self, data_dir, artifacts, tmp_path, capsys):
-        code = main([
-            "evaluate",
-            "--vae", str(artifacts / "vae.ckpt"),
-            "--perturbation", str(artifacts / "perturbation.ckpt"),
-            "--classifier", str(artifacts / "attack.ckpt"),
-            "--images", str(data_dir / "test-images.idx"),
-            "--labels", str(data_dir / "test-labels.idx"),
-            "--out-dir", str(tmp_path),
-        ])
-        assert code == 2
-        assert "eval" in capsys.readouterr().err
-
 
 class TestRender:
     def test_renders_grid(self, data_dir, tmp_path):
@@ -591,13 +566,6 @@ class TestRejectedBeforeAnyInput:
         assert code == 2
         assert capsys.readouterr().err == f"error: {config}: key {key!r} is fixed by this command\n"
         assert _listing(tmp_path) == [config.relative_to(tmp_path)]
-
-    def test_recon_weight_needs_a_recon_classifier(self, tmp_path, capsys, missing):
-        code = main(["train-vae", *missing, "--out", str(tmp_path / "out" / "v.ckpt"),
-                     "--recon-class-weight", "5"])
-        assert code == 2
-        assert capsys.readouterr().err == "error: --recon-class-weight needs --recon-classifier\n"
-        assert _listing(tmp_path) == []
 
     @pytest.mark.parametrize("command", [
         "gen-data",
@@ -706,7 +674,7 @@ def test_non_finite_setting_rejected_before_training(
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {field} must be finite, got {float(value)}\n"
+    assert captured.err == f"error: {flag}: {field} must be finite, got {float(value)}\n"
     assert not out.exists()
 
 
@@ -715,6 +683,100 @@ TINY_GRID = [
     "--test-count", "20", "--vae-epochs", "2", "--attack-epochs", "2",
     "--latent-dim", "4", "--batch-size", "16", "--seed", "1", "--data-seed", "1",
 ]
+
+
+@pytest.mark.parametrize("command, settings, error", [
+    # a setting a rule rejects, named by its flag or its file key; the config file is b.cfg
+    ("train-vae --recon-classifier {art}/attack.ckpt --out {tmp}/new/vae.ckpt {train}", None,
+     "--recon-classifier needs --recon-class-weight > 0, got 0.0"),
+    ("learn-attack --mode poisoning+class --recon-class-weight 0 --out-dir {tmp}/out {train}",
+     None, "--mode poisoning+class needs --recon-class-weight > 0, got 0.0"),
+    ("learn-attack --mode poisoning --vae-lr -1 --out-dir {tmp}/out {train}", None,
+     "--vae-lr: lr must be positive, got -1.0"),
+    ("learn-attack --mode poisoning --config {tmp}/b.cfg --out-dir {tmp}/out {train}",
+     "vae_lr = -1\n", "{tmp}/b.cfg: key 'vae_lr': lr must be positive, got -1.0"),
+    ("train-classifier --role eval --lr -1 --out {tmp}/new/c.ckpt {train}", None,
+     "--lr: lr must be positive, got -1.0"),
+    ("train-classifier --role eval --config {tmp}/b.cfg --out {tmp}/new/c.ckpt {train}",
+     "lr = -1\n", "{tmp}/b.cfg: key 'lr': lr must be positive, got -1.0"),
+    ("train-vae --latent-dim 0 --out {tmp}/new/vae.ckpt {train}", None,
+     "--latent-dim: latent_dim must be at least 1, got 0"),
+    ("gen-data --out-dir {tmp}/out --count 10 --test-count -5", None,
+     "--test-count: test_count must be non-negative (0 writes no split), got -5"),
+    ("run-grid --out-dir {tmp}/out {grid} --reg-weight -1", None,
+     "--reg-weight: reg_weight must be non-negative, got -1.0"),
+    ("run-grid --out-dir {tmp}/out --config {tmp}/b.cfg {grid}", "attack_lr = -1\n",
+     "{tmp}/b.cfg: key 'attack_lr': lr must be positive, got -1.0"),
+    ("train-vae --recon-class-weight 5 --out {tmp}/out/v.ckpt {missing}", None,
+     "--recon-class-weight needs --recon-classifier"),
+    ("learn-attack --mode independent --out-dir {tmp}/out --epochs 1 {train}", None,
+     "independent mode requires --vae and --classifier"),
+    ("render --columns 0 --out {tmp}/new/x.pgm {test}", None,
+     "--columns must be at least 1, got 0"),
+    ("render --count -1 --out {tmp}/new/x.pgm {test}", None, "--count must be at least 1, got -1"),
+    ("render --label 1 --out {tmp}/new/x.pgm {one}", None,
+     "{m}/one-lbl.idx: no samples of --label 1"),
+    # an input file of the wrong kind, role, width or classes, named by its path
+    ("learn-attack --mode independent --vae {tmp}/nope.ckpt --classifier {art}/attack.ckpt"
+     " --out-dir {tmp}/la --epochs 1 {train}", None,
+     "[Errno 2] No such file or directory: '{tmp}/nope.ckpt'"),
+    ("train-vae --recon-classifier {art}/vae.ckpt --recon-class-weight 1.0"
+     " --out {tmp}/new/vae.ckpt {train}", None, "{art}/vae.ckpt: holds a vae, expected a classifier"),
+    ("learn-attack --mode independent --vae {art}/attack.ckpt --classifier {art}/attack.ckpt"
+     " --out-dir {tmp}/out {train}", None, "{art}/attack.ckpt: holds a classifier, expected a vae"),
+    ("evaluate --vae {art}/vae.ckpt --perturbation {art}/vae.ckpt --classifier {art}/eval.ckpt"
+     " --out-dir {tmp}/out {test}", None, "{art}/vae.ckpt: holds a vae, expected a perturbation"),
+    ("train-vae --recon-classifier {art}/eval.ckpt --recon-class-weight 1.0"
+     " --out {tmp}/new/vae.ckpt {train}", None,
+     "{art}/eval.ckpt: the reconstruction term must use the attack classifier, got role 'eval'"),
+    ("learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/eval.ckpt"
+     " --out-dir {tmp}/out {train}", None,
+     "{art}/eval.ckpt: the independent attack must use the attack classifier, got role 'eval'"),
+    ("evaluate --vae {art}/vae.ckpt --perturbation {art}/perturbation.ckpt"
+     " --classifier {art}/attack.ckpt --out-dir {tmp}/out {test}", None,
+     "{art}/attack.ckpt: confidence tables must use the eval classifier, got role 'attack'"),
+    ("train-vae --recon-classifier {art}/attack.ckpt --recon-class-weight 1.0"
+     " --out {tmp}/new/vae.ckpt {wide}", None,
+     "image widths disagree: {art}/attack.ckpt 64, {m}/wide-img.idx 72"),
+    ("learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/attack.ckpt"
+     " --out-dir {tmp}/out {wide}", None,
+     "image widths disagree: {art}/vae.ckpt 64, {art}/attack.ckpt 64, {m}/wide-img.idx 72"),
+    ("evaluate --vae {m}/vae6.ckpt --perturbation {art}/perturbation.ckpt"
+     " --classifier {art}/eval.ckpt --out-dir {tmp}/out {test}", None,
+     "latent widths disagree: {m}/vae6.ckpt 6, {art}/perturbation.ckpt 4"),
+    ("learn-attack --mode poisoning --out-dir {tmp}/out {one}", None,
+     "{m}/one-lbl.idx: learn-attack requires samples from both classes"),
+], ids=[
+    "train-vae-recon-classifier-without-weight", "poisoning+class-zero-weight", "vae-lr-flag",
+    "vae-lr-file", "lr-flag", "lr-file", "latent-dim-flag", "gen-data-test-count-flag",
+    "run-grid-reg-weight-flag", "run-grid-attack-lr-file", "recon-weight-without-classifier",
+    "independent-without-checkpoints", "render-columns", "render-count", "render-absent-label",
+    "missing-checkpoint", "train-vae-kind", "learn-attack-kind", "evaluate-kind",
+    "train-vae-role", "learn-attack-role", "evaluate-role", "train-vae-width",
+    "learn-attack-width", "evaluate-width", "one-class-labels",
+])
+def test_every_rejection_names_its_input(
+    data_dir, artifacts, mismatched, tmp_path, capsys, monkeypatch, command, settings, error
+):
+    """A rejected command exits 2, names the file or flag, prints no stdout and leaves nothing."""
+    for name in ("generate_synthetic", "train_vae", "train_classifier", "learn_attack_frozen",
+                 "learn_attack_protocol", "evaluate_attack", "run_experiment", "render_grid"):
+        monkeypatch.setattr(cli, name, _no_training)
+    if settings is not None:
+        (tmp_path / "b.cfg").write_text(settings)
+    fill = {
+        "art": artifacts, "m": mismatched, "tmp": tmp_path, "grid": " ".join(TINY_GRID),
+        "train": " ".join(_train_args(data_dir, [])),
+        "test": f"--images {data_dir}/test-images.idx --labels {data_dir}/test-labels.idx",
+        "wide": f"--images {mismatched}/wide-img.idx --labels {mismatched}/wide-lbl.idx",
+        "one": f"--images {mismatched}/one-img.idx --labels {mismatched}/one-lbl.idx",
+        "missing": f"--images {tmp_path}/no.idx --labels {tmp_path}/no.idx",
+    }
+    before = _listing(tmp_path)
+    code = main(command.format(**fill).split())
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {error.format(**fill)}\n")
+    assert _listing(tmp_path) == before
 
 
 class TestRunGrid:
@@ -731,15 +793,6 @@ class TestRunGrid:
         assert "running 6 plans" in out
         assert "Confidence means" in out
         assert out.count("eps+") == 6
-
-    def test_bad_plan_rejected_before_any_work(self, tmp_path, capsys):
-        code = main(["run-grid", "--out-dir", str(tmp_path / "out"), *TINY_GRID,
-                     "--reg-weight", "-1"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: reg_weight must be non-negative, got -1.0\n"
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["split", "out-dir-is-a-file"])
     def test_failed_stage_is_an_error_not_a_traceback(self, tmp_path, capsys, monkeypatch, case):

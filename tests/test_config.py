@@ -26,6 +26,15 @@ class _Part:
     on: bool = False
 
 
+@dataclass
+class _Ruled:
+    steps: int = 1
+
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"steps must be non-negative, got {self.steps}")
+
+
 def _merge(file_values, fixed=(), **flags):
     parts = [(_Part(), ""), (_Part(), "b_")]
     return merge_settings(parts, "x.cfg", file_values, argparse.Namespace(**flags), fixed)
@@ -45,3 +54,14 @@ class TestMergeSettings:
             _merge({"b_steps": "2"}, fixed=("b_steps",))
         _, b = _merge({}, fixed=("b_steps",), b_steps=9)
         assert b.steps == 1
+
+    @pytest.mark.parametrize("file_values, flags, names, origin", [
+        ({"b_steps": "-1"}, {}, None, "x.cfg: key 'b_steps'"),
+        ({"b_steps": "3"}, {"b_steps": -1}, None, "--b-steps"),
+        ({}, {"b_steps": -1}, {"b_steps": "--steps"}, "--steps"),
+    ], ids=["file", "flag", "named-flag"])
+    def test_a_rule_error_names_the_value_it_rejects(self, file_values, flags, names, origin):
+        parts = [(_Ruled(), "b_")]
+        with pytest.raises(ConfigError, match=f"^{origin}: steps must be non-negative, got -1$"):
+            merge_settings(parts, "x.cfg", file_values, argparse.Namespace(**flags),
+                           flag_names=names)

@@ -324,3 +324,8 @@ class TestConfigValidation:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["batch_size", "latent_dim"])
+    def test_size_rule_names_its_field_and_value(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got 0$"):
+            TrainConfig(**{field: 0})
