@@ -39,6 +39,7 @@ from .models import (
     TrainConfig,
     VaeParams,
     _classifier_config,
+    _require_class_weight,
     _require_finite,
     _require_role,
     _require_same_widths,
@@ -214,7 +215,7 @@ def _attack_step(vae: VaeParams, classifier: ClassifierParams, labels: np.ndarra
     """Freshly initialized perturbation vectors and their :func:`models._train` step."""
     vectors = _init_deltas(vae.latent_dim, config)
 
-    def batch_loss(idx, noise):
+    def batch_loss(idx, noise, place):
         return _attack_batch_loss(vae, classifier, codes(idx), labels[idx], vectors, config)
 
     return vectors, (config.epochs, Adam(vectors, config.lr), batch_loss)
@@ -264,7 +265,8 @@ def learn_attack_frozen(vae: VaeParams, classifier: ClassifierParams, dataset: D
                         *configs: AttackConfig) -> list[Perturbation]:
     """One perturbation per config against a frozen, pre-trained VAE and classifier, in order.
 
-    Configs that share ``(seed, batch_size)`` share one encoding and one
+    The configs share one ``(seed, batch_size)``, else it is a ``ValueError``
+    naming two that differ; they share one encoding and one
     :func:`_learn_attacks` run. The frozen encoder's latent means are
     computed once, in row order, ``batch_size`` rows at a time; ``seed``
     fixes the batch order. Only the perturbations are differentiated and
@@ -279,14 +281,15 @@ def learn_attack_frozen(vae: VaeParams, classifier: ClassifierParams, dataset: D
     _require_role(classifier, "attack", "the independent attack")
     _require_same_widths({"vae": vae, "classifier": classifier, "dataset": dataset})
     dataset.require_both_classes("learn_attack_frozen")
-    learned = {}
-    for key in dict.fromkeys((config.seed, config.batch_size) for config in configs):
-        group = [i for i, config in enumerate(configs) if (config.seed, config.batch_size) == key]
-        codes = _latent_means(vae, dataset.images, key[1])
-        learned |= zip(group, _learn_attacks(vae, classifier, dataset.labels,
-                                             [configs[i] for i in group], lambda idx: codes[idx],
-                                             [], *key, "independent"))
-    return [learned[i] for i in range(len(configs))]
+    keys = list(dict.fromkeys((config.seed, config.batch_size) for config in configs))
+    if len(keys) > 1:
+        raise ValueError(f"configs must share one (seed, batch_size), got {keys[0]} and {keys[1]}")
+    if not configs:
+        return []
+    [(seed, batch_size)] = keys
+    codes = _latent_means(vae, dataset.images, batch_size)
+    return _learn_attacks(vae, classifier, dataset.labels, configs, lambda idx: codes[idx], [],
+                          seed, batch_size, "independent")
 
 
 def learn_attack_independent(vae: VaeParams, classifier: ClassifierParams, dataset: Dataset,
@@ -323,11 +326,8 @@ def learn_attack_protocol(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     with_class_term = mode == "poisoning+class"
-    if with_class_term and vae_config.recon_class_weight <= 0:
-        raise ValueError(
-            f"poisoning+class requires recon_class_weight > 0, "
-            f"got {vae_config.recon_class_weight}"
-        )
+    if with_class_term:
+        _require_class_weight(vae_config.recon_class_weight, mode)
     classifier = train_classifier(dataset, _classifier_config(vae_config, "attack"), "attack")
     if mode == "independent":
         vae = train_vae(dataset, vae_config)

@@ -19,11 +19,11 @@ from pathlib import Path
 from .attack import MODES, AttackConfig, learn_attack_frozen, learn_attack_protocol
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, flag_name, load_config_file, merge_settings
-from .data import generate_synthetic, load_idx, save_idx, split
+from .data import _require_data_settings, generate_synthetic, load_idx, save_idx, split
 from .evaluation import ROW_NAMES, evaluate_attack
 from .experiment import ExperimentError, ExperimentPlan, grid_plans, run_experiment
-from .models import (ROLES, TrainConfig, _require_role, _require_same_widths, train_classifier,
-                     train_vae)
+from .models import (ROLES, TrainConfig, _require_class_weight, _require_role,
+                     _require_same_widths, train_classifier, train_vae)
 from .reporting import render_grid, write_delta, write_report
 
 REG_WEIGHT_SWEEP = (0.001, 0.01, 0.1, 1.0)
@@ -53,11 +53,11 @@ def _add_required(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, required=True)
 
 
-def _merge(args: argparse.Namespace, template, fixed=()):
-    """defaults < ``--config`` file < explicit flags, for a one-part command."""
+def _merge(args: argparse.Namespace, *templates, fixed=()) -> list:
+    """defaults < ``--config`` file < explicit flags, for each template of a one-part command."""
     file_values = load_config_file(args.config) if args.config else {}
-    (instance,) = merge_settings([(template, "")], args.config, file_values, args, fixed)
-    return instance
+    return [merge_settings([(template, "")], args.config, file_values, args, fixed)[0]
+            for template in templates]
 
 
 def _out_file(args) -> Path:
@@ -104,17 +104,17 @@ class GenDataArgs:
         if self.test_count < 0:
             raise ValueError(f"test_count must be non-negative (0 writes no split), "
                              f"got {self.test_count}")
+        _require_data_settings(self.count, self.width, self.height, self.test_count or None)
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _merge(args, GenDataArgs())
+    [cfg] = _merge(args, GenDataArgs())
+    _echo("gen-data", cfg)
     data = generate_synthetic(cfg.count, cfg.width, cfg.height, cfg.seed)
-    parts = split(data, cfg.test_count, cfg.seed) if cfg.test_count > 0 else None
-    _echo("gen-data", cfg)  # only once the settings are accepted, so a rejected run prints none
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if parts is not None:
-        train_set, test_set = parts
+    if cfg.test_count > 0:
+        train_set, test_set = split(data, cfg.test_count, cfg.seed)
         save_idx(train_set, out / "train-images.idx", out / "train-labels.idx")
         save_idx(test_set, out / "test-images.idx", out / "test-labels.idx")
         print(f"wrote {len(train_set)} train and {len(test_set)} test samples to {out}")
@@ -148,10 +148,9 @@ def cmd_train_vae(args) -> int:
     fixed = () if args.recon_classifier else ("recon_class_weight",)
     if fixed and args.recon_class_weight is not None:
         raise ConfigError("--recon-class-weight needs --recon-classifier")
-    cfg = _merge(args, TrainConfig(), fixed=fixed)
-    if args.recon_classifier and cfg.recon_class_weight <= 0:
-        raise ConfigError(f"--recon-classifier needs --recon-class-weight > 0, "
-                          f"got {cfg.recon_class_weight}")
+    [cfg] = _merge(args, TrainConfig(), fixed=fixed)
+    if args.recon_classifier:
+        _require_class_weight(cfg.recon_class_weight, "--recon-classifier", "--recon-class-weight")
     dataset, loaded = _load_inputs(args, both_classes=False,
                                    role=("attack", "the reconstruction term"),
                                    recon_classifier="classifier")
@@ -164,7 +163,7 @@ def cmd_train_vae(args) -> int:
 
 
 def cmd_train_classifier(args) -> int:
-    cfg = _merge(args, TrainConfig(), fixed=CLASSIFIER_FIXED)
+    [cfg] = _merge(args, TrainConfig(), fixed=CLASSIFIER_FIXED)
     dataset, _ = _load_inputs(args)
     _echo("train-classifier", cfg)
     params = train_classifier(dataset, cfg, role=args.role)
@@ -207,9 +206,9 @@ def cmd_learn_attack(args) -> int:
             unused.append(vae_given["recon_class_weight"])  # only poisoning+class has that term
     if unused:
         raise ConfigError(f"{args.mode} mode does not use {', '.join(unused)}")
-    if args.mode == "poisoning+class" and vae_cfg.recon_class_weight <= 0:
-        raise ConfigError(f"--mode poisoning+class needs --recon-class-weight > 0, "
-                          f"got {vae_cfg.recon_class_weight}")
+    if args.mode == "poisoning+class":
+        _require_class_weight(vae_cfg.recon_class_weight, "--mode poisoning+class",
+                              "--recon-class-weight")
     dataset, loaded = _load_inputs(args, role=("attack", "the independent attack"),
                                    vae="vae", classifier="classifier")
     weights = REG_WEIGHT_SWEEP if args.sweep else (attack_cfg.reg_weight,)
@@ -263,8 +262,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run_grid(args) -> int:
-    base = _merge(args, ExperimentPlan(), fixed=GRID_FIXED)
-    plans = grid_plans(args.out_dir, base=base, include_multiplicative=args.include_multiplicative)
+    # one merge per plan, so poisoning+class's weight rule names its flag or key too
+    plans = grid_plans(args.out_dir, include_multiplicative=args.include_multiplicative)
+    plans = _merge(args, *plans, fixed=GRID_FIXED)
     print(f"running {len(plans)} plans under {args.out_dir}")
     results = []
     for plan in plans:

@@ -61,18 +61,22 @@ def flag_name(key: str) -> str:
 
 
 def _build(template, values: dict, origins: dict):
-    """``template`` with ``values``; a rule error names the first value, in order, it rejects."""
+    """``template`` with ``values``; a rule error names the value, set in order, that brings it.
+
+    So a rule that reads two fields names the one that breaks it, not one a default breaks.
+    """
     try:
         return dataclasses.replace(template, **values)
-    except ValueError:
-        applied = {}
-        for name, value in values.items():
-            applied[name] = value
-            try:
-                dataclasses.replace(template, **applied)
-            except ValueError as exc:
-                raise ConfigError(f"{origins[name]}: {exc}") from exc
-        raise
+    except ValueError as exc:
+        error = exc
+    applied = {}
+    for name, value in values.items():  # the last pass sets them all, so one raises
+        applied[name] = value
+        try:
+            dataclasses.replace(template, **applied)
+        except ValueError as exc:
+            if str(exc) == str(error):
+                raise ConfigError(f"{origins[name]}: {error}") from error
 
 
 def merge_settings(parts, path, file_values: dict[str, str], flags, fixed=(), flag_names=None) -> list:

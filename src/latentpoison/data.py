@@ -76,6 +76,34 @@ class Dataset:
             raise ValueError(f"{who} requires samples from both classes")
 
 
+def _require_data_settings(count=None, width=None, height=None, test_count=None,
+                           class_sizes=None) -> list[int] | None:
+    """The rules of :func:`generate_synthetic` and of :func:`split`, and each class's test quota.
+
+    A ``test_count`` is checked against ``class_sizes``, or, with ``count``,
+    against the generator's classes, ``count // 2`` each.
+    """
+    if count is not None:
+        if count <= 0 or count % 2 != 0:
+            raise ValueError(f"count must be positive and even, got {count}")
+        if width < 8 or height < 8:
+            raise ValueError(f"width and height must be at least 8, got {width}x{height}")
+        class_sizes = [count // 2] * 2
+    if test_count is None:
+        return None
+    n = sum(class_sizes)
+    if not 0 < test_count < n:
+        raise ValueError(f"test_count must be in (0, {n}), got {test_count}")
+    # largest remainder for two classes: round class 0's share, half up (ties go to class 0)
+    quota0 = math.floor(test_count * class_sizes[0] / n + 0.5)
+    quota = [quota0, test_count - quota0]
+    for label, (size, part) in enumerate(zip(class_sizes, quota)):
+        if not 0 < part < size:
+            raise ValueError(f"cannot keep class {label} non-empty on both sides: "
+                             f"{size} samples, test quota {part}")
+    return quota
+
+
 def feature_mask(width: int, height: int) -> np.ndarray:
     """Boolean [height, width] mask of the class-1 bar region.
 
@@ -100,10 +128,7 @@ def generate_synthetic(count: int, width: int, height: int, seed: int) -> Datase
     clamped to [0, 1]. The same (count, width, height, seed) always
     produces bitwise-identical data.
     """
-    if count <= 0 or count % 2 != 0:
-        raise ValueError(f"count must be positive and even, got {count}")
-    if width < 8 or height < 8:
-        raise ValueError(f"width and height must be at least 8, got {width}x{height}")
+    _require_data_settings(count, width, height)
     rng = stream(seed, DATA)
     mask = feature_mask(width, height)
     rows, cols = np.mgrid[0:height, 0:width].astype(np.float64)
@@ -206,22 +231,11 @@ def split(dataset: Dataset, test_count: int, seed: int) -> tuple[Dataset, Datase
     Per-class test quotas follow the class ratio by largest remainder (class
     0's share, rounded half up), and both classes must stay non-empty on both sides.
     """
-    n = len(dataset)
-    if not 0 < test_count < n:
-        raise ValueError(f"test_count must be in (0, {n}), got {test_count}")
+    class_idx = [dataset.class_indices(label) for label in (0, 1)]
+    quota = _require_data_settings(test_count=test_count, class_sizes=list(map(len, class_idx)))
     rng = stream(seed, SPLIT)
-    class_idx = {label: dataset.class_indices(label) for label in (0, 1)}
-    # largest remainder for two classes: round class 0's share, half up (ties go to class 0)
-    quota0 = math.floor(test_count * len(class_idx[0]) / n + 0.5)
-    quota = {0: quota0, 1: test_count - quota0}
     test_parts, train_parts = [], []
-    for label in (0, 1):
-        idx = class_idx[label]
-        if not 0 < quota[label] < len(idx):
-            raise ValueError(
-                f"cannot keep class {label} non-empty on both sides: "
-                f"{len(idx)} samples, test quota {quota[label]}"
-            )
+    for label, idx in enumerate(class_idx):
         perm = rng.permutation(idx)
         test_parts.append(perm[: quota[label]])
         train_parts.append(perm[quota[label] :])

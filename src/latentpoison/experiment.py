@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .attack import DIRECTIONS, MODES, AttackConfig, Perturbation, learn_attack_protocol
-from .data import Dataset, generate_synthetic, split
+from .data import Dataset, _require_data_settings, generate_synthetic, split
 from .evaluation import AttackReport, evaluate_attack, unit_range
-from .models import ClassifierParams, TrainConfig, VaeParams, _classifier_config, train_classifier
+from .models import (ClassifierParams, TrainConfig, VaeParams, _classifier_config,
+                     _require_class_weight, train_classifier)
 from .checkpoint import save_checkpoint
 from .reporting import render_grid, write_delta, write_report
 from .seeds import ATTACK, derive_seed
@@ -60,8 +61,11 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        # the configs' own rules, checked before any stage runs
+        # the data's and the configs' own rules, checked before any stage runs
+        _require_data_settings(self.sample_count, self.width, self.height, self.test_count)
         self.vae_config()
+        if self.mode == "poisoning+class":
+            _require_class_weight(self.recon_class_weight, self.mode)
         self.attack_config()
 
     def as_dict(self) -> dict:
@@ -105,14 +109,9 @@ def make_dataset(plan: ExperimentPlan) -> tuple[Dataset, Dataset]:
     return split(full, plan.test_count, plan.data_seed)
 
 
-def write_outputs(
-    plan: ExperimentPlan,
-    report: AttackReport,
-    vae: VaeParams,
-    eval_classifier: ClassifierParams,
-    attack_classifier: ClassifierParams | None,
-    perturbation: Perturbation,
-) -> None:
+def write_outputs(plan: ExperimentPlan, report: AttackReport, vae: VaeParams,
+                  eval_classifier: ClassifierParams, attack_classifier: ClassifierParams | None,
+                  perturbation: Perturbation) -> None:
     """Save the plan's checkpoints, report and dumps, and draw its PGMs from ``report.views``."""
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,15 +145,8 @@ def run_experiment(plan: ExperimentPlan) -> AttackReport:
     vae, attack_classifier, perturbation = _stage("learn-attack")(
         learn_attack_protocol, plan.mode, train_set, plan.vae_config(), plan.attack_config()
     )
-    report = _stage("evaluate")(
-        evaluate_attack,
-        vae,
-        perturbation,
-        eval_classifier,
-        test_set,
-        config=plan.as_dict(),
-        mode=plan.mode,
-    )
+    report = _stage("evaluate")(evaluate_attack, vae, perturbation, eval_classifier, test_set,
+                                config=plan.as_dict(), mode=plan.mode)
     _stage("write-outputs")(
         write_outputs, plan, report, vae, eval_classifier, attack_classifier, perturbation
     )
@@ -171,18 +163,8 @@ def grid_plans(
     """
     base = base or ExperimentPlan()
     families = ("additive", "multiplicative") if include_multiplicative else ("additive",)
-    plans = []
-    for family in families:
-        for mode in MODES:
-            for norm_order in (2, 1):
-                name = f"{mode.replace('+', '_')}_{family}_l{norm_order}"
-                plans.append(
-                    dataclasses.replace(
-                        base,
-                        mode=mode,
-                        family=family,
-                        norm_order=norm_order,
-                        out_dir=str(Path(out_root) / name),
-                    )
-                )
-    return plans
+    return [
+        dataclasses.replace(base, mode=mode, family=family, norm_order=norm_order, out_dir=str(
+            Path(out_root) / f"{mode.replace('+', '_')}_{family}_l{norm_order}"))
+        for family in families for mode in MODES for norm_order in (2, 1)
+    ]

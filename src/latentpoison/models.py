@@ -103,6 +103,12 @@ class TrainConfig:
             raise ValueError(f"latent_dim must be at least 1, got {self.latent_dim}")
 
 
+def _require_class_weight(weight: float, use: str, name: str = "recon_class_weight") -> None:
+    """The class-term weight rule: ``use``, a reconstruction class term, needs ``name`` above 0."""
+    if weight <= 0:
+        raise ValueError(f"{use} needs {name} > 0, got {weight}")
+
+
 def _classifier_config(config: TrainConfig, role: str) -> TrainConfig:
     """``config`` reseeded for the ``role`` classifier.
 
@@ -302,19 +308,20 @@ def _train(n: int, batch_size: int, seed: int, steps: list[tuple]) -> None:
     A step is an ``(epochs, optimizer, batch_loss)`` tuple. Each epoch draws
     the batch order and the latent noise from ``seed``; on every batch, each
     step with epochs left takes, in list order, one Adam step on
-    ``batch_loss(idx, noise)`` toward its own optimizer's parameters. A
-    non-finite loss is a ``ValueError`` naming its epoch and batch, from 1.
+    ``batch_loss(idx, noise, place)`` toward its own optimizer's parameters.
+    ``place`` names the batch for an error, "epoch E, batch B of N", from 1;
+    a non-finite loss is a ``ValueError`` naming it.
     """
     for epoch in range(max(epochs for epochs, _, _ in steps)):
         noise = stream(seed, LATENT_NOISE, epoch)
         batches = _epoch_batches(n, batch_size, stream(seed, SHUFFLE, epoch))
         for batch, idx in enumerate(batches, 1):
+            place = f"epoch {epoch + 1}, batch {batch} of {len(batches)}"
             for epochs, optimizer, batch_loss in steps:
                 if epoch < epochs:
-                    loss = batch_loss(idx, noise)
+                    loss = batch_loss(idx, noise, place)
                     if not np.isfinite(loss.data).all():
-                        raise ValueError(f"non-finite loss {loss.data} at epoch {epoch + 1}, "
-                                         f"batch {batch} of {len(batches)}")
+                        raise ValueError(f"non-finite loss {loss.data} at {place}")
                     ad.backward(loss, optimizer.params)
                     del loss  # free this graph before the next step builds its own
                     optimizer.step()
@@ -332,19 +339,14 @@ def train_classifier(dataset: Dataset, config: TrainConfig, role: str) -> Classi
         dataset.image_dim, stream(config.seed, PARAM_INIT), role
     )
     targets = _label_column(dataset.labels)
-    batches = -(-len(dataset) // config.batch_size)
-    calls = 0
 
-    def batch_loss(idx, noise):
-        nonlocal calls
-        epoch, batch = divmod(calls, batches)
-        calls += 1
+    def batch_loss(idx, noise, place):
         scores, t = classify(dataset.images[idx], params), targets[idx]
         p = scores.data
         wrong = int(((p > 0.5) != (t == 1)).sum())
         if wrong and ((p < ad.BCE_CLAMP) | (p > 1.0 - ad.BCE_CLAMP)).all():
             raise ValueError(
-                f"saturated classifier at epoch {epoch + 1}, batch {batch + 1} of {batches}: "
+                f"saturated classifier at {place}: "
                 f"every prediction is clamped and {wrong} of {len(p)} are wrong, "
                 f"so the gradient is zero"
             )
@@ -380,17 +382,13 @@ def _vae_step(dataset: Dataset, config: TrainConfig,
     """A freshly initialized VAE and its :func:`_train` step on ``dataset``."""
     if recon_classifier is not None:
         _require_role(recon_classifier, "attack", "the reconstruction term")
-        if config.recon_class_weight <= 0:
-            raise ValueError(
-                "recon_class_weight must be positive when a reconstruction "
-                "classifier is supplied"
-            )
+        _require_class_weight(config.recon_class_weight, "a reconstruction classifier")
         _require_same_widths({"classifier": recon_classifier, "dataset": dataset})
     vae = VaeParams.initialize(
         dataset.image_dim, config.latent_dim, stream(config.seed, PARAM_INIT)
     )
 
-    def batch_loss(idx, noise):
+    def batch_loss(idx, noise, place):
         return vae_batch_loss(
             vae, dataset.images[idx], dataset.labels[idx], config, noise, recon_classifier
         )

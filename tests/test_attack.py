@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -434,9 +435,9 @@ class TestIndependentAttack:
         attack_clf, _ = tiny_classifiers
         configs = [
             AttackConfig(epochs=3, batch_size=16, seed=3),
-            AttackConfig(epochs=2, batch_size=7, seed=3, per_direction=True),
+            AttackConfig(epochs=2, batch_size=16, seed=3, per_direction=True),
             AttackConfig(epochs=1, batch_size=16, seed=3, norm_order=1),
-            AttackConfig(epochs=2, batch_size=16, seed=8, family="multiplicative",
+            AttackConfig(epochs=2, batch_size=16, seed=3, family="multiplicative",
                          random_init=True),
         ]
         alone = [learn_attack_independent(tiny_vae, attack_clf, tiny_data, c) for c in configs]
@@ -445,12 +446,25 @@ class TestIndependentAttack:
         monkeypatch.setattr(attack, "_latent_means", lambda vae, images, chunk: (
             encoded.append(chunk), original(vae, images, chunk))[1])
         together = attack.learn_attack_frozen(tiny_vae, attack_clf, tiny_data, *configs)
-        # one encoding per (seed, batch_size), in the order the pairs first appear
-        assert encoded == [16, 7, 16]
+        # one encoding for the one (seed, batch_size) every config shares
+        assert encoded == [16]
         for config, pert, single in zip(configs, together, alone):
             assert [v.tobytes() for v in pert.vectors] == [v.tobytes() for v in single.vectors]
             assert (pert.family, pert.norm_order, pert.provenance) == (
                 config.family, config.norm_order, "independent")
+
+    def test_configs_of_two_batch_orders_rejected(
+        self, tiny_vae, tiny_classifiers, tiny_data, monkeypatch
+    ):
+        attack_clf, _ = tiny_classifiers
+        monkeypatch.setattr(attack, "_latent_means", _no_encoding)
+        configs = [AttackConfig(batch_size=16, seed=3),
+                   AttackConfig(batch_size=16, seed=3, norm_order=1),
+                   AttackConfig(batch_size=7, seed=8)]
+        message = "configs must share one (seed, batch_size), got (3, 16) and (8, 7)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            attack.learn_attack_frozen(tiny_vae, attack_clf, tiny_data, *configs)
+        assert attack.learn_attack_frozen(tiny_vae, attack_clf, tiny_data) == []
 
 
 def _no_encoding(*args):
@@ -545,7 +559,8 @@ class TestPoisoningAttacks:
             raise AssertionError("the weight check must come before any training")
 
         monkeypatch.setattr(attack, "train_classifier", no_training)
-        with pytest.raises(ValueError, match=r"requires recon_class_weight > 0, got 0\.0"):
+        message = r"^poisoning\+class needs recon_class_weight > 0, got 0\.0$"
+        with pytest.raises(ValueError, match=message):
             learn_attack_protocol(
                 "poisoning+class", tiny_data, tiny_config, AttackConfig(epochs=1)
             )

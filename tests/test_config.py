@@ -35,6 +35,16 @@ class _Ruled:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
 
 
+@dataclass
+class _Spanning:
+    total: int = 10
+    part: int = 5
+
+    def __post_init__(self):
+        if not 0 < self.part < self.total:
+            raise ValueError(f"part must be in (0, {self.total}), got {self.part}")
+
+
 def _merge(file_values, fixed=(), **flags):
     parts = [(_Part(), ""), (_Part(), "b_")]
     return merge_settings(parts, "x.cfg", file_values, argparse.Namespace(**flags), fixed)
@@ -65,3 +75,17 @@ class TestMergeSettings:
         with pytest.raises(ConfigError, match=f"^{origin}: steps must be non-negative, got -1$"):
             merge_settings(parts, "x.cfg", file_values, argparse.Namespace(**flags),
                            flag_names=names)
+
+    @pytest.mark.parametrize("file_values, flags, error", [
+        ({}, {"total": 4, "part": 4}, "--part: part must be in (0, 4), got 4"),
+        ({"total": "4"}, {"part": 4}, "--part: part must be in (0, 4), got 4"),
+        ({}, {"total": 4}, "--total: part must be in (0, 4), got 5"),
+        ({"part": "4"}, {"total": 3}, "--total: part must be in (0, 3), got 4"),
+    ], ids=["both-flags", "file-then-flag", "default-part", "flag-after-file"])
+    def test_a_rule_over_two_fields_names_the_value_that_brings_its_error(
+        self, file_values, flags, error
+    ):
+        # the value named is the one at which the error of the whole set first appears
+        with pytest.raises(ConfigError) as exc:
+            merge_settings([(_Spanning(), "")], "x.cfg", file_values, argparse.Namespace(**flags))
+        assert str(exc.value) == error

@@ -40,6 +40,21 @@ class TestPlan:
         with pytest.raises(ValueError, match="mode"):
             ExperimentPlan(mode="backdoor")
 
+    @pytest.mark.parametrize("overrides, error", [
+        ({"sample_count": 61}, "count must be positive and even, got 61"),
+        ({"width": 7}, "width and height must be at least 8, got 7x8"),
+        ({"test_count": 60}, "test_count must be in (0, 60), got 60"),
+        ({"sample_count": 4, "test_count": 3},
+         "cannot keep class 0 non-empty on both sides: 2 samples, test quota 2"),
+        ({"mode": "poisoning+class", "recon_class_weight": 0.0},
+         "poisoning+class needs recon_class_weight > 0, got 0.0"),
+    ], ids=["odd-count", "narrow", "split-all", "split-class", "class-weight"])
+    def test_data_and_class_weight_rules_reject_the_plan(self, tmp_path, overrides, error):
+        # the rules of the stages, checked where the plan is built
+        with pytest.raises(ValueError) as exc:
+            _tiny_plan(tmp_path, **overrides)
+        assert str(exc.value) == error
+
     def test_grid_covers_modes_and_norms(self, tmp_path):
         plans = grid_plans(tmp_path)
         assert len(plans) == 6
@@ -120,8 +135,9 @@ class TestRunExperiment:
         assert report.views == {}  # drawn by then, so a caller holding reports holds no pixels
 
     def test_stage_error_names_stage(self, tmp_path):
-        plan = _tiny_plan(tmp_path, sample_count=61)  # odd count breaks generation
-        with pytest.raises(ExperimentError, match="stage 'data'"):
+        (tmp_path / "file").write_text("")
+        plan = _tiny_plan(tmp_path / "file" / "plan")  # the outputs cannot be written under a file
+        with pytest.raises(ExperimentError, match="stage 'write-outputs'"):
             run_experiment(plan)
 
     @pytest.mark.parametrize("mode", MODES)
