@@ -318,6 +318,24 @@ class TestAttackAndEvaluate:
         assert f"{mode} mode does not use {named}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, wrong_role", [
+        ("learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/eval.ckpt"
+         " --out-dir {out} --epochs 1", "eval"),
+        ("train-vae --recon-classifier {art}/eval.ckpt --recon-class-weight 1.0"
+         " --out {out}/vae.ckpt --epochs 1", "eval"),
+        ("evaluate --vae {art}/vae.ckpt --perturbation {art}/perturbation.ckpt"
+         " --classifier {art}/attack.ckpt --out-dir {out}", "attack"),
+    ], ids=["learn-attack", "train-vae", "evaluate"])
+    def test_classifier_of_the_other_role_rejected(
+        self, data_dir, artifacts, tmp_path, capsys, command, wrong_role
+    ):
+        # the attack never trains against the eval classifier, which never scores for it
+        out = tmp_path / "out"
+        args = [a.format(art=artifacts, out=out) for a in command.split()]
+        assert main([*args, *_train_args(data_dir, [])]) == 2
+        assert f"got role {wrong_role!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         "learn-attack --mode independent --per-direction --vae {art}/vae.ckpt"
         " --classifier {art}/attack.ckpt --out-dir {out} --epochs 1",
@@ -359,11 +377,33 @@ class TestAttackAndEvaluate:
          " --classifier {art}/eval.ckpt --out-dir {out} {test}",
          "{m}/multiplicative.ckpt: per_direction needs the additive family: "
          "a multiplicative perturbation has one vector"),
+        ("evaluate --vae {m}/vae6.ckpt --perturbation {art}/perturbation.ckpt"
+         " --classifier {art}/eval.ckpt --out-dir {out} {test}",
+         "latent widths disagree: {m}/vae6.ckpt 6, {art}/perturbation.ckpt 4"),
         ("evaluate --vae {art}/vae.ckpt --perturbation {art}/perturbation.ckpt"
          " --classifier {art}/eval.ckpt --out-dir {out} {wide}",
          "image widths disagree: {art}/vae.ckpt 64, {art}/eval.ckpt 64, {m}/wide-img.idx 72"),
+        ("evaluate --vae {art}/vae.ckpt --perturbation {art}/perturbation.ckpt"
+         " --classifier {art}/attack.ckpt --out-dir {out} {test}",
+         "{art}/attack.ckpt: confidence tables must use the eval classifier, got role 'attack'"),
+        ("train-vae --recon-classifier {art}/eval.ckpt --recon-class-weight 1.0"
+         " --out {out}/vae.ckpt {train}",
+         "{art}/eval.ckpt: the reconstruction term must use the attack classifier, "
+         "got role 'eval'"),
+        ("train-vae --recon-classifier {art}/attack.ckpt --recon-class-weight 1.0"
+         " --out {out}/vae.ckpt {wide}",
+         "image widths disagree: {art}/attack.ckpt 64, {m}/wide-img.idx 72"),
+        ("learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/attack.ckpt"
+         " --out-dir {out} {wide}",
+         "image widths disagree: {art}/vae.ckpt 64, {art}/attack.ckpt 64, {m}/wide-img.idx 72"),
+        ("learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/eval.ckpt"
+         " --out-dir {out} {train}",
+         "{art}/eval.ckpt: the independent attack must use the attack classifier, "
+         "got role 'eval'"),
     ], ids=["learn-attack-multiplicative-per-direction", "evaluate-multiplicative-checkpoint",
-            "evaluate-image-width"])
+            "evaluate-latent-width", "evaluate-image-width", "evaluate-role",
+            "train-vae-role", "train-vae-image-width", "learn-attack-image-width",
+            "learn-attack-role"])
     def test_mismatch_named_before_any_echo_or_work(
         self, data_dir, artifacts, mismatched, tmp_path, capsys, monkeypatch, command, error
     ):
