@@ -18,9 +18,8 @@ from .autodiff import (
     bce,
     grad_check,
     kl_standard_normal,
-    linear,
     lp_penalty,
-    sigmoid,
+    mlp,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, feature_mask, generate_synthetic, load_idx, save_idx, split

@@ -4,6 +4,8 @@ Graphs are built functionally: every operation returns a fresh ``Tensor``
 that records its parents and, per parent, a closure mapping the output
 gradient to that parent's gradient. Parameters are long-lived leaf
 tensors; intermediate nodes are rebuilt on every forward pass.
+:func:`mlp` is the one dense-layer op: a whole chain of affine layers and
+their activations is one node, so a network adds one node to the graph.
 :func:`backward` differentiates only toward the tensors it is asked about,
 so frozen weights cost no gradient work and never need clearing. One
 :class:`Adam` object per parameter list holds its moments, step count and
@@ -159,24 +161,6 @@ def exp(a) -> Tensor:
     return Tensor(out, _parents=(a,), _backward=(lambda g: g * out,))
 
 
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-    return Tensor(out, _parents=(a,), _backward=(lambda g: g * (1.0 - out * out),))
-
-
-def sigmoid(a) -> Tensor:
-    """Elementwise logistic function, output strictly inside (0, 1)."""
-    a = _as_tensor(a)
-    x = a.data
-    e = np.exp(-np.abs(x))
-    # 1 where x >= 0 (there e <= 1), else e; NaN stays NaN; 0-d inputs stay arrays
-    out = np.maximum(e, x >= 0, out=np.empty_like(e))
-    out /= 1.0 + e
-    np.clip(out, _SIG_FLOOR, _SIG_CEIL, out=out)
-    return Tensor(out, _parents=(a,), _backward=(lambda g: g * out * (1.0 - out),))
-
-
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     out = np.asarray(a.data.sum())
@@ -194,29 +178,57 @@ def mean_all(a) -> Tensor:
     )
 
 
-def linear(x, weights, bias) -> Tensor:
-    """Affine map ``x @ weights + bias`` with the bias broadcast over rows.
+def _sigmoid(x: Array) -> Array:
+    """Elementwise logistic function, output strictly inside (0, 1)."""
+    e = np.exp(-np.abs(x))
+    # 1 where x >= 0 (there e <= 1), else e; NaN stays NaN; 0-d inputs stay arrays
+    out = np.maximum(e, x >= 0, out=np.empty_like(e))
+    out /= 1.0 + e
+    np.clip(out, _SIG_FLOOR, _SIG_CEIL, out=out)
+    return out
 
-    One graph node: the bias is added in place to the :func:`matmul`
-    product, and its gradient is the column sum of the output gradient.
+
+# mlp's activations: the forward map (it may overwrite its input), the gradient through it
+_ACTIVATIONS = {"tanh": (lambda z: np.tanh(z, out=z), lambda g, out: g * (1.0 - out * out)),
+                "sigmoid": (_sigmoid, lambda g, out: g * out * (1.0 - out)),
+                None: (lambda z: z, lambda g, out: g)}
+
+
+def mlp(x, layers, last) -> Tensor:
+    """A dense chain as one node: tanh after each ``(weights, bias)`` layer but the last.
+
+    ``last`` follows the last layer: ``"tanh"``, ``"sigmoid"`` or ``None`` (affine). The
+    gradients of the parents ``x, w0, b0, w1, ...`` read one top-down sweep of pre-activation
+    gradients per output gradient, so a frozen chain computes only its input's gradient.
     """
-    x, weights, bias = _as_tensor(x), _as_tensor(weights), _as_tensor(bias)
-    if (
-        x.data.ndim != 2
-        or weights.data.ndim != 2
-        or x.data.shape[1] != weights.data.shape[0]
-    ):
-        raise ShapeMismatchError(
-            f"linear: input {x.data.shape} does not conform to weights {weights.data.shape}"
-        )
-    if bias.data.shape != (weights.data.shape[1],):
-        raise ShapeMismatchError(
-            f"linear: bias {bias.data.shape} does not match weights {weights.data.shape}"
-        )
-    out = matmul(x, weights).data
-    out += bias.data
-    back = (lambda g: g @ weights.data.T, lambda g: x.data.T @ g, lambda g: g.sum(axis=0))
-    return Tensor(out, _parents=(x, weights, bias), _backward=back)
+    x, layers = _as_tensor(x), [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
+    if not layers:
+        return x
+    acts = [_ACTIVATIONS["tanh"]] * (len(layers) - 1) + [_ACTIVATIONS[last]]
+    outs = [x.data]  # each layer's input, then the chain's output
+    for i, (w, b) in enumerate(layers):
+        h = outs[-1]
+        if h.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.shape[0]:
+            raise ShapeMismatchError(f"mlp layer {i}: input {h.shape} vs weights {w.shape}")
+        if b.shape != (w.shape[1],):
+            raise ShapeMismatchError(f"mlp layer {i}: bias {b.shape} vs weights {w.shape}")
+        z = matmul(h, w).data  # the module-level name, so a tracer that rebinds it sees the call
+        z += b.data
+        outs.append(acts[i][0](z))
+    cache = [None, None]  # the output gradient last swept, and its pre-activation gradients
+
+    def sweep(g):
+        if cache[0] is not g:
+            pre = [acts[-1][1](g, outs[-1])]
+            for i in reversed(range(len(layers) - 1)):
+                pre.insert(0, acts[i][1](pre[0] @ layers[i + 1][0].data.T, outs[i + 1]))
+            cache[:] = g, pre
+        return cache[1]
+
+    back = [lambda g: sweep(g)[0] @ layers[0][0].data.T]
+    for i, h in enumerate(outs[:-1]):
+        back += [lambda g, i=i, h=h: h.T @ sweep(g)[i], lambda g, i=i: sweep(g)[i].sum(axis=0)]
+    return Tensor(outs[-1], _parents=(x, *(t for wb in layers for t in wb)), _backward=tuple(back))
 
 
 def bce(prediction, target) -> Tensor:

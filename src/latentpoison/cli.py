@@ -143,14 +143,24 @@ def _load_inputs(args, both_classes=True, role=None, **kinds):
     return dataset, loaded
 
 
+def _require_recon_weight(weight: float, use: str, origin: str | None, path) -> None:
+    """The class-weight rule for flag ``use``, named by ``path``'s key ``origin`` if that set it."""
+    if origin is None or origin.startswith("--"):
+        return _require_class_weight(weight, use, "--recon-class-weight")
+    _require_class_weight(weight, f"{path}: key {origin!r}: {use.removeprefix('--mode ')}")
+
+
 def cmd_train_vae(args) -> int:
     # the reconstruction term needs a classifier: without one its weight is fixed at 0
     fixed = () if args.recon_classifier else ("recon_class_weight",)
     if fixed and args.recon_class_weight is not None:
         raise ConfigError("--recon-class-weight needs --recon-classifier")
-    [cfg] = _merge(args, TrainConfig(), fixed=fixed)
+    file_values = load_config_file(args.config) if args.config else {}
+    [cfg] = merge_settings([(TrainConfig(), "")], args.config, file_values, args, fixed)
     if args.recon_classifier:
-        _require_class_weight(cfg.recon_class_weight, "--recon-classifier", "--recon-class-weight")
+        from_file = args.recon_class_weight is None and "recon_class_weight" in file_values
+        _require_recon_weight(cfg.recon_class_weight, "--recon-classifier",
+                              "recon_class_weight" if from_file else None, args.config)
     dataset, loaded = _load_inputs(args, both_classes=False,
                                    role=("attack", "the reconstruction term"),
                                    recon_classifier="classifier")
@@ -207,8 +217,8 @@ def cmd_learn_attack(args) -> int:
     if unused:
         raise ConfigError(f"{args.mode} mode does not use {', '.join(unused)}")
     if args.mode == "poisoning+class":
-        _require_class_weight(vae_cfg.recon_class_weight, "--mode poisoning+class",
-                              "--recon-class-weight")
+        _require_recon_weight(vae_cfg.recon_class_weight, "--mode poisoning+class",
+                              vae_given.get("recon_class_weight"), args.config)
     dataset, loaded = _load_inputs(args, role=("attack", "the independent attack"),
                                    vae="vae", classifier="classifier")
     weights = REG_WEIGHT_SWEEP if args.sweep else (attack_cfg.reg_weight,)

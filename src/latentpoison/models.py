@@ -1,8 +1,9 @@
 """Encoder, decoder and classifier networks plus their trainers.
 
-All networks are small tanh MLPs over flattened pixels. The encoder ends
-in two linear heads (mean and log variance of the latent Gaussian), the
-decoder and classifier end in a sigmoid. Smooth activations keep
+All networks are small tanh MLPs over flattened pixels, each one
+:func:`autodiff.mlp` chain. The encoder's trunk feeds two one-layer
+affine heads (mean and log variance of the latent Gaussian), the decoder
+and classifier end in a sigmoid. Smooth activations keep
 finite-difference gradient checks tight everywhere.
 """
 
@@ -243,27 +244,16 @@ def _as_batch(x, expected_dim: int, what: str) -> Tensor:
     return t
 
 
-def _mlp(t: Tensor, layers, last) -> Tensor:
-    """The one MLP chain: ``ad.tanh`` after each layer but the last, ``last`` after it."""
-    for i, (w, b) in enumerate(layers):
-        t = (last if i == len(layers) - 1 else ad.tanh)(ad.linear(t, w, b))
-    return t
-
-
-def _encoder_hidden(x, params: VaeParams) -> Tensor:
-    """The encoder's layers, up to where its two heads branch."""
-    return _mlp(_as_batch(x, params.image_dim, "encode"), params.encoder_layers, ad.tanh)
-
-
 def encode(x, params: VaeParams) -> tuple[Tensor, Tensor]:
     """Forward pass to the two latent heads (mean, log variance)."""
-    t = _encoder_hidden(x, params)
-    return ad.linear(t, *params.mu_head), ad.linear(t, *params.log_var_head)
+    t = ad.mlp(_as_batch(x, params.image_dim, "encode"), params.encoder_layers, "tanh")
+    return ad.mlp(t, [params.mu_head], None), ad.mlp(t, [params.log_var_head], None)
 
 
 def encode_mean(x, vae: VaeParams) -> np.ndarray:
-    """Deterministic encoding as a plain array: the mean head only, no log variance."""
-    return ad.linear(_encoder_hidden(x, vae), *vae.mu_head).data
+    """Deterministic encoding as a plain array: the mean head ends the encoder's one chain."""
+    layers = [*vae.encoder_layers, vae.mu_head]
+    return ad.mlp(_as_batch(x, vae.image_dim, "encode"), layers, None).data
 
 
 def sample_latent(mu: Tensor, log_var: Tensor, rng) -> Tensor:
@@ -280,12 +270,12 @@ def sample_latent(mu: Tensor, log_var: Tensor, rng) -> Tensor:
 
 def decode(z, params: VaeParams) -> Tensor:
     """Forward pass from latent codes to pixels in (0, 1)."""
-    return _mlp(_as_batch(z, params.latent_dim, "decode"), params.decoder_layers, ad.sigmoid)
+    return ad.mlp(_as_batch(z, params.latent_dim, "decode"), params.decoder_layers, "sigmoid")
 
 
 def classify(x, params: ClassifierParams) -> Tensor:
     """Per-sample scores in (0, 1), shape [batch, 1]."""
-    return _mlp(_as_batch(x, params.image_dim, "classify"), params.layers, ad.sigmoid)
+    return ad.mlp(_as_batch(x, params.image_dim, "classify"), params.layers, "sigmoid")
 
 
 def vae_loss(x, x_hat: Tensor, mu: Tensor, log_var: Tensor, kl_weight: float) -> Tensor:

@@ -68,13 +68,13 @@ def _build_classifier_objective(rng):
     clf = ClassifierParams.initialize(
         image_dim, rng, role="attack", hidden=GRAD_CHECK_CLASSIFIER_HIDDEN
     )
-    x = rng.uniform(0, 1, (batch, image_dim))
+    x = Tensor(rng.uniform(0, 1, (batch, image_dim)), name="x")
     targets = (rng.uniform(size=(batch, 1)) > 0.5).astype(float)
 
     def loss_fn():
-        return ad.bce(classify(Tensor(x), clf), targets)
+        return ad.bce(classify(x, clf), targets)
 
-    return loss_fn, clf.parameters()
+    return loss_fn, [x] + clf.parameters()
 
 
 def _build_attack_objective(norm_order):
@@ -84,19 +84,20 @@ def _build_attack_objective(norm_order):
         clf = ClassifierParams.initialize(
             image_dim, rng, role="attack", hidden=GRAD_CHECK_CLASSIFIER_HIDDEN
         )
-        x = rng.uniform(0, 1, (batch, image_dim))
+        x = Tensor(rng.uniform(0, 1, (batch, image_dim)), name="x")
         labels = np.array([0, 1, 0, 1])
         delta = Tensor(rng.normal(0.0, 0.5, latent_dim), name="delta")
 
         sign = Tensor((1.0 - 2.0 * labels).reshape(-1, 1))
 
         def loss_fn():
-            mu, _ = encode(Tensor(x), vae)
+            mu, _ = encode(x, vae)
             tampered = mu + sign * delta
             scores = classify(decode(tampered, vae), clf)
             return attack_loss(scores, labels, [delta], norm_order, 0.01)
 
-        return loss_fn, [delta] + vae.parameters() + clf.parameters()
+        # the input too, so every parent of every network chain is checked
+        return loss_fn, [delta, x] + vae.parameters() + clf.parameters()
 
     return build
 

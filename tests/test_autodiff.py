@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,13 +18,21 @@ from latentpoison.autodiff import (
     bce,
     grad_check,
     kl_standard_normal,
-    linear,
     lp_penalty,
-    sigmoid,
+    mlp,
 )
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 unit_open = st.floats(min_value=1e-6, max_value=1 - 1e-6, allow_nan=False)
+
+
+def _sigmoid(values):
+    return ad._sigmoid(np.asarray(values, dtype=np.float64))
+
+
+def _affine(x, weights, bias):
+    """One affine layer: a one-layer chain with no activation."""
+    return mlp(x, [(Tensor(weights), Tensor(bias))], None)
 
 
 def _bruteforce_matmul(a, b):
@@ -38,11 +48,11 @@ def _bruteforce_matmul(a, b):
 
 class TestLinear:
     def test_identity_weights(self):
-        out = linear([[1.0, 2.0]], np.eye(2), [0.0, 0.0])
+        out = _affine([[1.0, 2.0]], np.eye(2), [0.0, 0.0])
         np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
     def test_zero_input_passes_bias(self):
-        out = linear([[0.0, 0.0]], [[5.0, -1.0], [2.0, 7.0]], [3.0, 4.0])
+        out = _affine([[0.0, 0.0]], [[5.0, -1.0], [2.0, 7.0]], [3.0, 4.0])
         np.testing.assert_array_equal(out.data, [[3.0, 4.0]])
 
     def test_matches_bruteforce(self):
@@ -50,22 +60,22 @@ class TestLinear:
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal((3, 2))
         bias = rng.standard_normal(2)
-        out = linear(a, b, bias)
+        out = _affine(a, b, bias)
         np.testing.assert_allclose(out.data, _bruteforce_matmul(a, b) + bias, rtol=1e-12)
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 2\)"):
-            linear(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
+            _affine(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
 
     def test_bias_shape_error(self):
         with pytest.raises(ShapeMismatchError, match="bias"):
-            linear(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3))
+            _affine(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3))
 
     def test_gradients_reach_all_inputs(self):
         x = Tensor(np.ones((2, 3)))
         w = Tensor(np.ones((3, 2)))
         b = Tensor(np.zeros(2))
-        backward(linear(x, w, b).sum(), [x, w, b])
+        backward(mlp(x, [(w, b)], None).sum(), [x, w, b])
         assert x.grad.shape == (2, 3)
         assert w.grad.shape == (3, 2)
         np.testing.assert_array_equal(b.grad, [2.0, 2.0])
@@ -78,26 +88,27 @@ class TestLinear:
         def run(affine):
             x, w, b = (Tensor(a.copy()) for a in arrays)
             out = affine(x, w, b)
-            backward((ad.tanh(out) * scale).sum(), [x, w, b])
+            backward((out * out * scale).sum(), [x, w, b])
             return [out.data.tobytes()] + [t.grad.tobytes() for t in (x, w, b)]
 
-        assert run(linear) == run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+        one_node = run(lambda x, w, b: mlp(x, [(w, b)], None))
+        assert one_node == run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
 
 
 class TestSigmoid:
     def test_symmetry_point(self):
-        assert sigmoid(Tensor(0.0)).data == 0.5
+        assert _sigmoid(0.0) == 0.5
 
     def test_saturation(self):
-        assert abs(sigmoid(Tensor(50.0)).data - 1.0) < 1e-12
+        assert abs(_sigmoid(50.0) - 1.0) < 1e-12
 
     def test_stays_strictly_inside_unit_interval(self):
-        out = sigmoid(Tensor([-1000.0, -50.0, 0.0, 50.0, 1000.0])).data
+        out = _sigmoid([-1000.0, -50.0, 0.0, 50.0, 1000.0])
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_value_matches_scalar_formula(self):
         expected = 1.0 / (1.0 + math.exp(-1.0))
-        assert sigmoid(Tensor(1.0)).data == pytest.approx(expected, abs=1e-15)
+        assert _sigmoid(1.0) == pytest.approx(expected, abs=1e-15)
 
     def test_bitwise_equals_three_exp_expression(self):
         x = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0,
@@ -105,7 +116,7 @@ class TestSigmoid:
         expected = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                             np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         expected = np.clip(expected, ad._SIG_FLOOR, ad._SIG_CEIL)
-        assert sigmoid(Tensor(x)).data.tobytes() == expected.tobytes()
+        assert _sigmoid(x).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("shape", [(16,), (63, 1), (7, 13), (64, 256)])
     @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 37.0, 100.0, 800.0])
@@ -118,14 +129,136 @@ class TestSigmoid:
         e = np.exp(-np.abs(x))
         expected = np.clip(np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),
                            ad._SIG_FLOOR, ad._SIG_CEIL)
-        out = sigmoid(Tensor(x)).data
+        out = _sigmoid(x)
         assert out.shape == x.shape
         assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
     @given(hnp.arrays(np.float64, (3, 2), elements=finite_floats))
     def test_range_property(self, x):
-        out = sigmoid(Tensor(x)).data
+        out = _sigmoid(x)
         assert np.all((out > 0) & (out < 1))
+
+
+def _chain(rng, widths):
+    """Input of shape [5, widths[0]] and one (weights, bias) pair per pair of widths."""
+    x = rng.standard_normal((5, widths[0]))
+    layers = [(rng.standard_normal((a, b)) * 0.7, rng.standard_normal(b) * 0.3)
+              for a, b in zip(widths, widths[1:])]
+    return x, layers
+
+
+def _reference_chain(x, layers, last, g):
+    """The chain's output and the gradients of x, w0, b0, w1, ... for output gradient ``g``.
+
+    Per layer: ``h @ w`` plus the bias, then tanh or the two-branch sigmoid; the
+    backward pass uses each layer's own expressions, one layer at a time.
+    """
+    acts = ["tanh"] * (len(layers) - 1) + [last]
+    outs = [x]
+    for (w, b), act in zip(layers, acts):
+        z = outs[-1] @ w
+        z += b
+        if act == "tanh":
+            z = np.tanh(z)
+        elif act == "sigmoid":
+            e = np.exp(-np.abs(z))
+            z = np.clip(np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),
+                        ad._SIG_FLOOR, ad._SIG_CEIL)
+        outs.append(z)
+    grads = []
+    for i in reversed(range(len(layers))):
+        out = outs[i + 1]
+        if acts[i] == "tanh":
+            g = g * (1.0 - out * out)
+        elif acts[i] == "sigmoid":
+            g = g * out * (1.0 - out)
+        grads = [outs[i].T @ g, g.sum(axis=0)] + grads
+        g = g @ layers[i][0].T
+    return outs[-1], [g] + grads
+
+
+def _chain_tensors(x, layers):
+    xt = Tensor(x.copy(), name="x")
+    pairs = [(Tensor(w.copy()), Tensor(b.copy())) for w, b in layers]
+    return xt, pairs, [xt] + [t for pair in pairs for t in pair]
+
+
+LASTS = ["tanh", "sigmoid", None]
+WIDTHS = [(4, 3), (4, 6, 3), (4, 6, 5, 3)]
+
+
+class TestMlp:
+    @pytest.mark.parametrize("last", LASTS)
+    @pytest.mark.parametrize("widths", WIDTHS, ids=["1-layer", "2-layer", "3-layer"])
+    def test_bitwise_equals_the_reference(self, last, widths):
+        rng = np.random.default_rng(len(widths))
+        x, layers = _chain(rng, widths)
+        scale = rng.standard_normal((5, widths[-1]))
+        expected_out, expected_grads = _reference_chain(x, layers, last, scale)
+        xt, pairs, parents = _chain_tensors(x, layers)
+        out = mlp(xt, pairs, last)
+        backward((out * scale).sum(), parents)
+        assert out.data.tobytes() == expected_out.tobytes()
+        for t, expected in zip(parents, expected_grads):
+            assert t.grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("last", LASTS)
+    def test_matches_finite_differences(self, last):
+        def build(rng):
+            x, layers = _chain(rng, (4, 6, 5, 3))
+            xt, pairs, parents = _chain_tensors(x, layers)
+            scale = rng.standard_normal((5, 3))
+            return (lambda: (mlp(xt, pairs, last) * scale).sum()), parents
+
+        assert grad_check(build, seed=8, fd_step=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("last", LASTS)
+    def test_frozen_chain_differentiates_its_input_alone(self, last):
+        x, layers = _chain(np.random.default_rng(9), (4, 6, 5, 3))
+        xt, pairs, parents = _chain_tensors(x, layers)
+        backward(mlp(xt, pairs, last).sum(), parents)
+        all_parents = xt.grad
+        xt, pairs, parents = _chain_tensors(x, layers)
+        backward(mlp(xt, pairs, last).sum(), [xt])
+        assert xt.grad.tobytes() == all_parents.tobytes()
+        assert all(t.grad is None for t in parents[1:])
+
+    def test_repeated_backward_gives_the_same_gradients(self):
+        x, layers = _chain(np.random.default_rng(10), (4, 6, 5, 3))
+        xt, pairs, parents = _chain_tensors(x, layers)
+        out = mlp(xt, pairs, "sigmoid")
+        loss = (out * 3.0).sum()
+        backward(loss, parents)
+        first = [t.grad for t in parents]
+        backward(loss, parents)
+        for t, grad in zip(parents, first):
+            assert t.grad is not grad and t.grad.tobytes() == grad.tobytes()
+        # a new output gradient on the same node is swept anew: doubling is exact
+        backward((out * 6.0).sum(), parents)
+        for t, grad in zip(parents, first):
+            assert np.array_equal(t.grad, 2.0 * grad)
+
+    def test_graph_is_freed_without_the_cycle_collector(self):
+        # Tensor has no weakref slot, so the output's array stands for it: the
+        # node's gradient closures hold that array, and nothing else does.
+        x, layers = _chain(np.random.default_rng(11), (4, 6, 3))
+        xt, pairs, parents = _chain_tensors(x, layers)
+        gc.disable()
+        try:
+            out = mlp(xt, pairs, "tanh")
+            backward(out.sum(), parents)
+            alive = weakref.ref(out.data)
+            del out
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_layer_named_in_shape_errors(self):
+        w, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))
+        with pytest.raises(ShapeMismatchError, match=r"layer 1: input \(2, 4\) vs weights \(3, 4\)"):
+            mlp(np.zeros((2, 3)), [(w, b), (w, b)], None)
+        with pytest.raises(ShapeMismatchError, match=r"layer 0: bias \(3,\) vs weights"):
+            mlp(np.zeros((2, 3)), [(w, Tensor(np.zeros(3)))], None)
 
 
 class TestBce:
@@ -206,7 +339,7 @@ class TestBackward:
         w = Tensor(np.ones((3, 1)))
         b = Tensor(np.zeros(1))
         hidden = x @ w
-        loss = sigmoid(hidden + b).mean()
+        loss = ad.exp(hidden + b).mean()
         backward(loss, [w])
         assert w.grad is not None and w.grad.shape == (3, 1)
         for node in (x, b, hidden, loss):
@@ -242,7 +375,7 @@ class TestBackward:
     def test_every_reachable_tensor_gets_matching_grad(self):
         x = Tensor(np.ones((2, 3)))
         w = Tensor(np.ones((3, 1)))
-        out = sigmoid(x @ w)
+        out = ad.exp(x @ w)
         loss = out.mean()
         backward(loss, [x, w, out, loss])
         for node in (x, w, out, loss):
@@ -258,8 +391,8 @@ class TestBackward:
             t = rng.uniform(0.1, 0.9, (3, 1))
 
             def loss_fn():
-                hidden = sigmoid(linear(Tensor(x), w1, b1))
-                return bce(sigmoid(linear(hidden, w2, b2)), t)
+                hidden = mlp(Tensor(x), [(w1, b1)], "sigmoid")
+                return bce(mlp(hidden, [(w2, b2)], "sigmoid"), t)
 
             return loss_fn, [w1, b1, w2, b2]
 
@@ -390,7 +523,7 @@ def test_operations_deterministic():
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((5, 4)))
         w = Tensor(rng.standard_normal((4, 3)))
-        out = sigmoid(x @ w).mean()
+        out = mlp(x, [(w, Tensor(np.zeros(3)))], "sigmoid").mean()
         backward(out, [w])
         return out.data.copy(), w.grad.copy()
 

@@ -691,6 +691,14 @@ TINY_GRID = [
      "--recon-classifier needs --recon-class-weight > 0, got 0.0"),
     ("learn-attack --mode poisoning+class --recon-class-weight 0 --out-dir {tmp}/out {train}",
      None, "--mode poisoning+class needs --recon-class-weight > 0, got 0.0"),
+    ("train-vae --config {tmp}/b.cfg --recon-classifier {art}/attack.ckpt"
+     " --out {tmp}/new/vae.ckpt {train}", "recon_class_weight = 0\n",
+     "{tmp}/b.cfg: key 'recon_class_weight': --recon-classifier needs recon_class_weight > 0, "
+     "got 0.0"),
+    ("learn-attack --mode poisoning+class --config {tmp}/b.cfg --out-dir {tmp}/out {train}",
+     "vae_recon_class_weight = 0\n",
+     "{tmp}/b.cfg: key 'vae_recon_class_weight': poisoning+class needs recon_class_weight > 0, "
+     "got 0.0"),
     ("learn-attack --mode poisoning --vae-lr -1 --out-dir {tmp}/out {train}", None,
      "--vae-lr: lr must be positive, got -1.0"),
     ("learn-attack --mode poisoning --config {tmp}/b.cfg --out-dir {tmp}/out {train}",
@@ -756,7 +764,8 @@ TINY_GRID = [
     ("learn-attack --mode poisoning --out-dir {tmp}/out {one}", None,
      "{m}/one-lbl.idx: learn-attack requires samples from both classes"),
 ], ids=[
-    "train-vae-recon-classifier-without-weight", "poisoning+class-zero-weight", "vae-lr-flag",
+    "train-vae-recon-classifier-without-weight", "poisoning+class-zero-weight",
+    "train-vae-class-weight-file", "poisoning+class-class-weight-file", "vae-lr-flag",
     "vae-lr-file", "lr-flag", "lr-file", "latent-dim-flag", "gen-data-test-count-flag",
     "run-grid-reg-weight-flag", "run-grid-attack-lr-file", "run-grid-sample-count-flag",
     "run-grid-class-weight-flag", "run-grid-class-weight-file", "gen-data-test-count-split",
