@@ -7,7 +7,9 @@
 # independent sweep against the grid's networks, on an independent
 # multiplicative attack against them with its evaluation, and on a
 # poisoning+class sweep configured through vae_ keys, with its per-direction
-# evaluation; each sweep's reg 0.01 files equal a single run's. About 8 s.
+# evaluation; each sweep's reg 0.01 files equal a single run's. Last, no
+# `*.part` file (a write that never reached its rename) is left anywhere in
+# the work tree. About 8 s.
 #
 # Usage: scripts/check_reruns.sh WORK_DIR
 #
@@ -86,3 +88,7 @@ python -m latentpoison $attack --out-dir la.single --reg-weight 0.01
 for name in perturbation vae attack_classifier; do
   cmp "la.single/$name.ckpt" "la/${name}_reg_0.01.ckpt"
 done
+if find . -name '*.part' | grep .; then
+  echo "partial files left behind" >&2
+  exit 1
+fi

@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .attack import VECTOR_NAMES, Perturbation
-from .data import ByteReader
+from .data import ByteReader, _write_file
 from .models import INIT_SCHEME, ROLES, ClassifierParams, VaeParams
 
 MAGIC_PREFIX = b"LPZ"
@@ -99,14 +99,9 @@ def save_checkpoint(artifact, path, config: dict | None = None) -> None:
     """Write an artifact; ``config`` is echoed into the descriptor."""
     kind, desc, payload = _describe(artifact, config)
     desc_bytes = json.dumps(desc, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_PREFIX + str(FORMAT_VERSION).encode("ascii"))
-        fh.write(struct.pack("<B", _KIND_BYTES[kind]))
-        fh.write(struct.pack("<I", len(desc_bytes)))
-        fh.write(desc_bytes)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        fh.write(_payload_hash(payload))
+    _write_file(path, b"".join([MAGIC_PREFIX + str(FORMAT_VERSION).encode("ascii"),
+                                struct.pack("<BI", _KIND_BYTES[kind], len(desc_bytes)), desc_bytes,
+                                struct.pack("<Q", len(payload)), payload, _payload_hash(payload)]))
 
 
 def _split_payload(payload: bytes, shapes: list[tuple[int, ...]], path) -> list[np.ndarray]:

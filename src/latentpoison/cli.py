@@ -60,13 +60,6 @@ def _merge(args: argparse.Namespace, *templates, fixed=()) -> list:
             for template in templates]
 
 
-def _out_file(args) -> Path:
-    """``--out`` with its parent directories made, right before the file is written."""
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _check_out_paths(args) -> None:
     """Reject an output path no command could write, before any input is read.
 
@@ -112,7 +105,6 @@ def cmd_gen_data(args) -> int:
     _echo("gen-data", cfg)
     data = generate_synthetic(cfg.count, cfg.width, cfg.height, cfg.seed)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.test_count > 0:
         train_set, test_set = split(data, cfg.test_count, cfg.seed)
         save_idx(train_set, out / "train-images.idx", out / "train-labels.idx")
@@ -143,11 +135,11 @@ def _load_inputs(args, both_classes=True, role=None, **kinds):
     return dataset, loaded
 
 
-def _require_recon_weight(weight: float, use: str, origin: str | None, path) -> None:
-    """The class-weight rule for flag ``use``, named by ``path``'s key ``origin`` if that set it."""
+def _require_recon_weight(weight: float, use: str, origin: str | None) -> None:
+    """The class-weight rule for flag ``use``, named by ``origin`` if a file key set it."""
     if origin is None or origin.startswith("--"):
         return _require_class_weight(weight, use, "--recon-class-weight")
-    _require_class_weight(weight, f"{path}: key {origin!r}: {use.removeprefix('--mode ')}")
+    _require_class_weight(weight, f"{origin}: {use.removeprefix('--mode ')}")
 
 
 def cmd_train_vae(args) -> int:
@@ -160,14 +152,14 @@ def cmd_train_vae(args) -> int:
     if args.recon_classifier:
         from_file = args.recon_class_weight is None and "recon_class_weight" in file_values
         _require_recon_weight(cfg.recon_class_weight, "--recon-classifier",
-                              "recon_class_weight" if from_file else None, args.config)
+                              f"{args.config}: key 'recon_class_weight'" if from_file else None)
     dataset, loaded = _load_inputs(args, both_classes=False,
                                    role=("attack", "the reconstruction term"),
                                    recon_classifier="classifier")
     recon_classifier, _ = loaded.get("recon_classifier", (None, None))
     _echo("train-vae", cfg)
     vae = train_vae(dataset, cfg, recon_classifier)
-    save_checkpoint(vae, _out_file(args), config=dataclasses.asdict(cfg))
+    save_checkpoint(vae, args.out, config=dataclasses.asdict(cfg))
     print(f"wrote {args.out}")
     return 0
 
@@ -177,7 +169,7 @@ def cmd_train_classifier(args) -> int:
     dataset, _ = _load_inputs(args)
     _echo("train-classifier", cfg)
     params = train_classifier(dataset, cfg, role=args.role)
-    save_checkpoint(params, _out_file(args), config=dataclasses.asdict(cfg))
+    save_checkpoint(params, args.out, config=dataclasses.asdict(cfg))
     print(f"wrote {args.out} (role {args.role})")
     return 0
 
@@ -188,7 +180,7 @@ def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig, dict[str, st
     The VAE trains on the attack's batches, so its batch size follows the
     attack's and a file may not set ``vae_batch_size``; a sweep takes no
     reg weight. The third value names, per VAE field set by a flag or a
-    file key, that flag or key.
+    file key, that flag or ``<file>: key '<key>'``.
     """
     if args.sweep and args.reg_weight is not None:
         raise ConfigError(f"--sweep runs reg weights {REG_WEIGHT_SWEEP}; drop --reg-weight")
@@ -198,7 +190,8 @@ def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig, dict[str, st
         [(AttackConfig(), ""), (TrainConfig(), "vae_")], args.config, file_values, args, fixed,
         flag_names={f"vae_{field}": flag for field, flag in VAE_FLAGS.items()},
     )
-    given = {k[len("vae_") :]: k for k in file_values if k.startswith("vae_")}
+    given = {k[len("vae_") :]: f"{args.config}: key {k!r}" for k in file_values
+             if k.startswith("vae_")}
     given |= {f: flag for f, flag in VAE_FLAGS.items() if getattr(args, f"vae_{f}") is not None}
     return attack_cfg, dataclasses.replace(vae_cfg, batch_size=attack_cfg.batch_size), given
 
@@ -218,7 +211,7 @@ def cmd_learn_attack(args) -> int:
         raise ConfigError(f"{args.mode} mode does not use {', '.join(unused)}")
     if args.mode == "poisoning+class":
         _require_recon_weight(vae_cfg.recon_class_weight, "--mode poisoning+class",
-                              vae_given.get("recon_class_weight"), args.config)
+                              vae_given.get("recon_class_weight"))
     dataset, loaded = _load_inputs(args, role=("attack", "the independent attack"),
                                    vae="vae", classifier="classifier")
     weights = REG_WEIGHT_SWEEP if args.sweep else (attack_cfg.reg_weight,)
@@ -233,9 +226,7 @@ def cmd_learn_attack(args) -> int:
         echo |= {f"vae_{k}": v for k, v in dataclasses.asdict(vae_cfg).items()}
         vae, clf, *perturbations = learn_attack_protocol(args.mode, dataset, vae_cfg, *configs)
         networks = {"attack_classifier": clf, "vae": vae}
-    # made only once the attack has accepted its inputs, so a rejected run leaves none
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for cfg, perturbation in zip(configs, perturbations):
         _echo("learn-attack", cfg)
         suffix = f"_reg_{cfg.reg_weight}" if args.sweep else ""
@@ -258,7 +249,6 @@ def cmd_evaluate(args) -> int:
         echo |= {f"attack_{k}": v for k, v in pert_config.items()}
     report = evaluate_attack(vae, perturbation, classifier, dataset, config=echo)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_report(report, out / "report.csv")
     write_delta(perturbation, out / "delta_elements.csv")
     for row in report.rows:
@@ -311,7 +301,7 @@ def cmd_render(args) -> int:
     tiles = [image.reshape(dataset.height, dataset.width) for image in images[: args.count]]
     if not tiles:
         raise ConfigError(f"{args.labels}: no samples of --label {args.label}")
-    render_grid(tiles, args.columns, _out_file(args))
+    render_grid(tiles, args.columns, args.out)
     print(f"wrote {args.out} ({len(tiles)} images)")
     return 0
 

@@ -1,11 +1,12 @@
 """Dataset construction: synthetic two-class images, IDX files, splits.
 
-:class:`ByteReader`, the one bounded file reader, parses IDX files and checkpoints alike.
+:class:`ByteReader` is the one bounded file reader and :func:`_write_file` the one writer.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,6 +179,23 @@ class ByteReader:
         return part
 
 
+def _write_file(path, data: bytes | str) -> None:
+    """Write ``data`` (text as UTF-8) whole to ``path``, making its missing directories.
+
+    The bytes go to ``<name>.part`` beside ``path`` and are renamed onto it, so a
+    failed or killed write never leaves part of a file under ``path``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    part = path.with_name(path.name + ".part")
+    try:
+        part.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def _read_idx(path, magic: int, ndim: int, what: str) -> tuple[tuple[int, ...], bytes]:
     """One IDX file's ``ndim`` header sizes and its payload, named ``what``, which ends the file."""
     reader = ByteReader(path, IdxTruncatedError, IdxFormatError)
@@ -214,7 +232,7 @@ def load_idx(image_path, label_path, positive_labels) -> Dataset:
 
 def _write_idx(path, magic: int, array: np.ndarray) -> None:
     """An IDX file: ``magic``, one big-endian u32 per dimension of ``array``, its bytes."""
-    Path(path).write_bytes(struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes())
+    _write_file(path, struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes())
 
 
 def save_idx(dataset: Dataset, image_path, label_path) -> None:

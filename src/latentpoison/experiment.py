@@ -114,7 +114,6 @@ def write_outputs(plan: ExperimentPlan, report: AttackReport, vae: VaeParams,
                   perturbation: Perturbation) -> None:
     """Save the plan's checkpoints, report and dumps, and draw its PGMs from ``report.views``."""
     out = Path(plan.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     echo = plan.as_dict()
     save_checkpoint(vae, out / "vae.ckpt", config=echo)
     save_checkpoint(eval_classifier, out / "eval_classifier.ckpt", config=echo)

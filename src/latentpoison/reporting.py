@@ -20,6 +20,7 @@ from .evaluation import (
     detection_probability,
 )
 from .attack import Perturbation
+from .data import _write_file
 
 REPORT_HEADER = "latentpoison attack report v1"
 DELTA_HEADER = "latentpoison perturbation dump v1"
@@ -78,8 +79,7 @@ def parse_report(text: str) -> tuple[dict, list[ConfidenceRow]]:
 
 
 def write_report(report: AttackReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_to_csv(report))
+    _write_file(path, report_to_csv(report))
 
 
 def delta_to_csv(perturbation: Perturbation) -> str:
@@ -103,8 +103,7 @@ def delta_to_csv(perturbation: Perturbation) -> str:
 
 
 def write_delta(perturbation: Perturbation, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(delta_to_csv(perturbation))
+    _write_file(path, delta_to_csv(perturbation))
 
 
 def _quantize(image: np.ndarray) -> np.ndarray:
@@ -117,9 +116,7 @@ def write_pgm(image: np.ndarray, path) -> None:
     if image.ndim != 2:
         raise ValueError(f"PGM needs a 2-D image, got shape {image.shape}")
     height, width = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(_quantize(image).tobytes())
+    _write_file(path, f"P5\n{width} {height}\n255\n".encode("ascii") + _quantize(image).tobytes())
 
 
 def grid_array(images, columns: int) -> np.ndarray:

@@ -294,9 +294,9 @@ class TestAttackAndEvaluate:
     @pytest.mark.parametrize("mode, settings, flags, named", [
         ("independent", "", ["--vae-epochs", "50", "--kl-weight", "9"],
          "--vae-epochs, --kl-weight"),
-        ("independent", "vae_epochs = 50\n", [], "vae_epochs"),
+        ("independent", "vae_epochs = 50\n", [], "{cfg}: key 'vae_epochs'"),
         ("poisoning", "", ["--recon-class-weight", "3.0"], "--recon-class-weight"),
-        ("poisoning", "vae_recon_class_weight = 3.0\n", [], "vae_recon_class_weight"),
+        ("poisoning", "vae_recon_class_weight = 3.0\n", [], "{cfg}: key 'vae_recon_class_weight'"),
         ("poisoning", "", ["--vae", "no.ckpt"], "--vae"),
         ("poisoning+class", "", ["--recon-class-weight", "1.0", "--classifier", "no.ckpt"],
          "--classifier"),
@@ -315,7 +315,7 @@ class TestAttackAndEvaluate:
             *ckpts, "--out-dir", str(tmp_path / "out"), "--config", str(config), *flags,
         ])
         assert code == 2
-        assert f"{mode} mode does not use {named}" in capsys.readouterr().err
+        assert f"{mode} mode does not use {named.format(cfg=config)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, wrong_role", [
@@ -763,6 +763,13 @@ TINY_GRID = [
      "latent widths disagree: {m}/vae6.ckpt 6, {art}/perturbation.ckpt 4"),
     ("learn-attack --mode poisoning --out-dir {tmp}/out {one}", None,
      "{m}/one-lbl.idx: learn-attack requires samples from both classes"),
+    # a VAE key the mode does not use, named by file and key
+    ("learn-attack --mode independent --vae {art}/vae.ckpt --classifier {art}/attack.ckpt"
+     " --config {tmp}/b.cfg --out-dir {tmp}/out {train}", "vae_epochs = 3\n",
+     "independent mode does not use {tmp}/b.cfg: key 'vae_epochs'"),
+    ("learn-attack --mode poisoning --config {tmp}/b.cfg --out-dir {tmp}/out {train}",
+     "vae_recon_class_weight = 2\n",
+     "poisoning mode does not use {tmp}/b.cfg: key 'vae_recon_class_weight'"),
 ], ids=[
     "train-vae-recon-classifier-without-weight", "poisoning+class-zero-weight",
     "train-vae-class-weight-file", "poisoning+class-class-weight-file", "vae-lr-flag",
@@ -773,7 +780,8 @@ TINY_GRID = [
     "independent-without-checkpoints", "render-columns", "render-count", "render-absent-label",
     "missing-checkpoint", "train-vae-kind", "learn-attack-kind", "evaluate-kind",
     "train-vae-role", "learn-attack-role", "evaluate-role", "train-vae-width",
-    "learn-attack-width", "evaluate-width", "one-class-labels",
+    "learn-attack-width", "evaluate-width", "one-class-labels", "independent-vae-key-file",
+    "poisoning-class-weight-key-file",
 ])
 def test_every_rejection_names_its_input(
     data_dir, artifacts, mismatched, tmp_path, capsys, monkeypatch, command, settings, error

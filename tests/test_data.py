@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latentpoison import data as data_module
+from latentpoison.attack import Perturbation
+from latentpoison.checkpoint import load_checkpoint, save_checkpoint
 from latentpoison.data import (
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
@@ -16,12 +19,17 @@ from latentpoison.data import (
     IdxFormatError,
     IdxMagicError,
     IdxTruncatedError,
+    _write_file,
     feature_mask,
     generate_synthetic,
     load_idx,
     save_idx,
     split,
 )
+from latentpoison.evaluation import ROW_NAMES, AttackReport, ConfidenceRow
+from latentpoison.models import VaeParams
+from latentpoison.reporting import (delta_to_csv, grid_array, render_grid, report_to_csv,
+                                    write_delta, write_pgm, write_report)
 
 
 class TestGenerator:
@@ -234,6 +242,120 @@ class TestByteReader:
     def test_bytes_after_the_last_part(self, tmp_path):
         with pytest.raises(self.Bad, match=re.escape(f"{tmp_path / 'f.bin'}: 2 bytes after the tail")):
             self._reader(tmp_path, b"abcdef").last(4, "tail")
+
+
+class TestWriteFile:
+    """The one writer: the whole file under ``<name>.part``, then renamed onto its name."""
+
+    def test_text_is_written_as_utf8_without_newline_translation(self, tmp_path):
+        _write_file(tmp_path / "t.csv", "a,\u00e9\r\nb\n")
+        assert (tmp_path / "t.csv").read_bytes() == "a,\u00e9\r\nb\n".encode("utf-8")
+
+    @staticmethod
+    def _half_then_fail(error):
+        def write_bytes(path, blob):
+            with open(path, "wb") as fh:
+                fh.write(blob[: len(blob) // 2])  # a write cut off halfway
+            raise error
+        return write_bytes
+
+    @pytest.mark.parametrize("old", [None, b"old bytes"], ids=["new-file", "existing-file"])
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                             ids=["os-error", "interrupt"])
+    @pytest.mark.parametrize("step", ["write", "rename"])
+    def test_a_failed_write_leaves_the_old_file_or_none(self, tmp_path, monkeypatch, old, error,
+                                                        step):
+        path = tmp_path / "out" / "f.bin"
+        if old is not None:
+            path.parent.mkdir()
+            path.write_bytes(old)
+        if step == "write":
+            monkeypatch.setattr(data_module.Path, "write_bytes", self._half_then_fail(error))
+        else:
+            def replace(src, dst):
+                raise error
+            monkeypatch.setattr(data_module.os, "replace", replace)
+        with pytest.raises(type(error)):
+            _write_file(path, b"new bytes, never whole on disk")
+        monkeypatch.undo()
+        assert [p.name for p in path.parent.iterdir()] == ([] if old is None else ["f.bin"])
+        if old is not None:
+            assert path.read_bytes() == old
+        _write_file(path, b"new")  # the next write replaces the file whole
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in path.parent.iterdir()] == ["f.bin"]
+
+
+_IMAGES = [np.array([[0.0, 1.0, 0.5], [0.25, 0.75, 1.0]]),
+           np.array([[1.0, 0.0, 0.2], [0.4, 0.6, 0.8]])]
+
+
+def _pgm(image) -> bytes:
+    pixels = np.rint(image * 255).astype(np.uint8).tobytes()
+    return f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii") + pixels
+
+
+def _report():
+    rows = [ConfidenceRow(name, 0.5 + i / 10, 0.02) for i, name in enumerate(ROW_NAMES)]
+    return AttackReport("independent", "additive", 2, rows, -0.1, 0.2, [0.01], 0.01, 0.5,
+                        config={"seed": 3})
+
+
+def _perturbation():
+    return Perturbation(np.array([0.5, -0.25, 3.0]), 1, "additive", 0.01, "independent")
+
+
+def _save_checkpoint(out):
+    vae = VaeParams.initialize(16, 3, np.random.default_rng(0), hidden=(5,))
+    save_checkpoint(vae, out / "vae.ckpt", config={"seed": 3})
+    loaded, config = load_checkpoint(out / "vae.ckpt", expect_kind="vae")
+    assert config == {"seed": 3}
+    for a, b in zip(loaded.parameters(), vae.parameters(), strict=True):
+        assert a.data.tobytes() == b.data.tobytes()
+    return ["vae.ckpt"]
+
+
+def _write_report(out):
+    write_report(_report(), out / "report.csv")
+    assert (out / "report.csv").read_bytes() == report_to_csv(_report()).encode()
+    return ["report.csv"]
+
+
+def _write_delta(out):
+    write_delta(_perturbation(), out / "delta.csv")
+    assert (out / "delta.csv").read_bytes() == delta_to_csv(_perturbation()).encode()
+    return ["delta.csv"]
+
+
+def _write_pgm(out):
+    write_pgm(_IMAGES[0], out / "one.pgm")
+    pixels = bytes([0, 255, 128, 64, 191, 255])  # rint of 255 times each value
+    assert (out / "one.pgm").read_bytes() == b"P5\n3 2\n255\n" + pixels
+    return ["one.pgm"]
+
+
+def _render_grid(out):
+    render_grid(_IMAGES, 2, out / "grid.pgm")
+    assert (out / "grid.pgm").read_bytes() == _pgm(grid_array(_IMAGES, 2))
+    return ["grid.pgm"]
+
+
+def _save_idx(out):
+    data = Dataset(np.stack([im.reshape(-1) for im in _IMAGES]), [1, 0], 3, 2)
+    save_idx(data, out / "i.idx", out / "l.idx")
+    pixels = np.rint(data.images * 255).astype(np.uint8).tobytes()
+    assert (out / "i.idx").read_bytes() == struct.pack(">IIII", IDX_IMAGE_MAGIC, 2, 2, 3) + pixels
+    assert (out / "l.idx").read_bytes() == struct.pack(">II", IDX_LABEL_MAGIC, 2) + bytes([1, 0])
+    return ["i.idx", "l.idx"]
+
+
+@pytest.mark.parametrize("write", [_save_checkpoint, _write_report, _write_delta, _write_pgm,
+                                   _render_grid, _save_idx],
+                         ids=lambda write: write.__name__.lstrip("_"))
+def test_every_writer_makes_its_directories_and_writes_its_format(tmp_path, write):
+    out = tmp_path / "new" / "nested"
+    names = write(out)  # each writer checks its own file's bytes
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)  # and no .part is left
 
 
 class TestSplit:
