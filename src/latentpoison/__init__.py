@@ -31,7 +31,7 @@ from .evaluation import (
     detection_probability,
     epsilon_gap,
     evaluate_attack,
-    sparsity_profile,
+    sparsity_fraction,
 )
 from .experiment import ExperimentPlan, grid_plans, run_experiment
 from .models import (

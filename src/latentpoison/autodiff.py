@@ -4,6 +4,10 @@ Graphs are built functionally: every operation returns a fresh ``Tensor``
 that records its parents and, per parent, a closure mapping the output
 gradient to that parent's gradient. Parameters are long-lived leaf
 tensors; intermediate nodes are rebuilt on every forward pass.
+The engine keeps only the ops the package calls: :func:`add`, :func:`sub`,
+:func:`mul`, :func:`exp` and :func:`matmul` (``Tensor`` overloads ``+`` and
+``*``), :func:`mlp`, and the loss nodes :func:`bce`,
+:func:`kl_standard_normal` and :func:`lp_penalty`.
 :func:`mlp` is the one dense-layer op: a whole chain of affine layers and
 their activations is one node, so a network adds one node to the graph.
 :func:`backward` differentiates only toward the tensors it is asked about,
@@ -63,10 +67,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<Tensor{tag} shape={self.data.shape}>"
@@ -74,30 +74,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
 
 
 def _as_tensor(value) -> Tensor:
@@ -140,11 +120,6 @@ def mul(a, b) -> Tensor:
     return Tensor(out, _parents=(a, b), _backward=back)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return Tensor(-a.data, _parents=(a,), _backward=(lambda g: -g,))
-
-
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -159,23 +134,6 @@ def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.data)
     return Tensor(out, _parents=(a,), _backward=(lambda g: g * out,))
-
-
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.asarray(a.data.sum())
-    return Tensor(
-        out, _parents=(a,), _backward=(lambda g: np.broadcast_to(g, a.data.shape).copy(),)
-    )
-
-
-def mean_all(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.asarray(a.data.mean())
-    scale = 1.0 / a.data.size
-    return Tensor(
-        out, _parents=(a,), _backward=(lambda g: np.broadcast_to(g * scale, a.data.shape).copy(),)
-    )
 
 
 def _sigmoid(x: Array) -> Array:

@@ -54,7 +54,7 @@ def _add_required(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _merge(args: argparse.Namespace, *templates, fixed=()) -> list:
-    """defaults < ``--config`` file < explicit flags, for each template of a one-part command."""
+    """``(instance, origins)`` per template of a one-part command: defaults < file < flags."""
     file_values = load_config_file(args.config) if args.config else {}
     return [merge_settings([(template, "")], args.config, file_values, args, fixed)[0]
             for template in templates]
@@ -101,7 +101,7 @@ class GenDataArgs:
 
 
 def cmd_gen_data(args) -> int:
-    [cfg] = _merge(args, GenDataArgs())
+    [(cfg, _)] = _merge(args, GenDataArgs())
     _echo("gen-data", cfg)
     data = generate_synthetic(cfg.count, cfg.width, cfg.height, cfg.seed)
     out = Path(args.out_dir)
@@ -147,12 +147,10 @@ def cmd_train_vae(args) -> int:
     fixed = () if args.recon_classifier else ("recon_class_weight",)
     if fixed and args.recon_class_weight is not None:
         raise ConfigError("--recon-class-weight needs --recon-classifier")
-    file_values = load_config_file(args.config) if args.config else {}
-    [cfg] = merge_settings([(TrainConfig(), "")], args.config, file_values, args, fixed)
+    [(cfg, origins)] = _merge(args, TrainConfig(), fixed=fixed)
     if args.recon_classifier:
-        from_file = args.recon_class_weight is None and "recon_class_weight" in file_values
         _require_recon_weight(cfg.recon_class_weight, "--recon-classifier",
-                              f"{args.config}: key 'recon_class_weight'" if from_file else None)
+                              origins.get("recon_class_weight"))
     dataset, loaded = _load_inputs(args, both_classes=False,
                                    role=("attack", "the reconstruction term"),
                                    recon_classifier="classifier")
@@ -165,7 +163,7 @@ def cmd_train_vae(args) -> int:
 
 
 def cmd_train_classifier(args) -> int:
-    [cfg] = _merge(args, TrainConfig(), fixed=CLASSIFIER_FIXED)
+    [(cfg, _)] = _merge(args, TrainConfig(), fixed=CLASSIFIER_FIXED)
     dataset, _ = _load_inputs(args)
     _echo("train-classifier", cfg)
     params = train_classifier(dataset, cfg, role=args.role)
@@ -179,39 +177,36 @@ def _learn_attack_configs(args) -> tuple[AttackConfig, TrainConfig, dict[str, st
 
     The VAE trains on the attack's batches, so its batch size follows the
     attack's and a file may not set ``vae_batch_size``; a sweep takes no
-    reg weight. The third value names, per VAE field set by a flag or a
-    file key, that flag or ``<file>: key '<key>'``.
+    reg weight. The third value is the VAE part's origins: per field set by
+    a flag or a file key, that flag or ``<file>: key '<key>'``.
     """
     if args.sweep and args.reg_weight is not None:
         raise ConfigError(f"--sweep runs reg weights {REG_WEIGHT_SWEEP}; drop --reg-weight")
     file_values = load_config_file(args.config) if args.config else {}
     fixed = ("vae_batch_size", "reg_weight") if args.sweep else ("vae_batch_size",)
-    attack_cfg, vae_cfg = merge_settings(
+    (attack_cfg, _), (vae_cfg, vae_origins) = merge_settings(
         [(AttackConfig(), ""), (TrainConfig(), "vae_")], args.config, file_values, args, fixed,
         flag_names={f"vae_{field}": flag for field, flag in VAE_FLAGS.items()},
     )
-    given = {k[len("vae_") :]: f"{args.config}: key {k!r}" for k in file_values
-             if k.startswith("vae_")}
-    given |= {f: flag for f, flag in VAE_FLAGS.items() if getattr(args, f"vae_{f}") is not None}
-    return attack_cfg, dataclasses.replace(vae_cfg, batch_size=attack_cfg.batch_size), given
+    return attack_cfg, dataclasses.replace(vae_cfg, batch_size=attack_cfg.batch_size), vae_origins
 
 
 def cmd_learn_attack(args) -> int:
-    attack_cfg, vae_cfg, vae_given = _learn_attack_configs(args)
+    attack_cfg, vae_cfg, vae_origins = _learn_attack_configs(args)
     if args.mode == "independent":
         if not args.vae or not args.classifier:
             raise ConfigError("independent mode requires --vae and --classifier")
-        unused = list(vae_given.values())  # the VAE comes trained from --vae
+        unused = list(vae_origins.values())  # the VAE comes trained from --vae
     else:  # the poisoning modes train their own VAE and classifier
         unused = [flag for flag, path in (("--vae", args.vae), ("--classifier", args.classifier))
                   if path]
-        if args.mode == "poisoning" and "recon_class_weight" in vae_given:
-            unused.append(vae_given["recon_class_weight"])  # only poisoning+class has that term
+        if args.mode == "poisoning" and "recon_class_weight" in vae_origins:
+            unused.append(vae_origins["recon_class_weight"])  # only poisoning+class has that term
     if unused:
         raise ConfigError(f"{args.mode} mode does not use {', '.join(unused)}")
     if args.mode == "poisoning+class":
         _require_recon_weight(vae_cfg.recon_class_weight, "--mode poisoning+class",
-                              vae_given.get("recon_class_weight"))
+                              vae_origins.get("recon_class_weight"))
     dataset, loaded = _load_inputs(args, role=("attack", "the independent attack"),
                                    vae="vae", classifier="classifier")
     weights = REG_WEIGHT_SWEEP if args.sweep else (attack_cfg.reg_weight,)
@@ -264,7 +259,7 @@ def cmd_evaluate(args) -> int:
 def cmd_run_grid(args) -> int:
     # one merge per plan, so poisoning+class's weight rule names its flag or key too
     plans = grid_plans(args.out_dir, include_multiplicative=args.include_multiplicative)
-    plans = _merge(args, *plans, fixed=GRID_FIXED)
+    plans = [plan for plan, _ in _merge(args, *plans, fixed=GRID_FIXED)]
     print(f"running {len(plans)} plans under {args.out_dir}")
     results = []
     for plan in plans:

@@ -80,15 +80,16 @@ def _build(template, values: dict, origins: dict):
 
 
 def merge_settings(parts, path, file_values: dict[str, str], flags, fixed=(), flag_names=None) -> list:
-    """One dataclass per ``(template, prefix)`` part: defaults < config file < flags.
+    """``(dataclass, origins)`` per ``(template, prefix)`` part: defaults < config file < flags.
 
     A setting is named ``prefix + field``, both as a key of ``file_values``
     (read from ``path``) and as an attribute of ``flags`` (an argparse
     namespace, where None means "not given"). Names in ``fixed`` belong to
     the command: a file may not set them and their flags are not read.
     Every file key is checked and coerced before any flag is overlaid, and
-    each dataclass is built once, from its final values. A value its rules
-    reject is named by file key or flag: ``flag_names[key]``, else :func:`flag_name`.
+    each dataclass is built once, from its final values. ``origins`` names each field
+    a file key or flag set, file keys first (a default is absent): ``<file>: key
+    '<key>'``, or ``flag_names[key]``, else :func:`flag_name`. A rule error names the same.
     """
     known = {prefix + f.name: (i, f.name) for i, (template, prefix) in enumerate(parts)
              for f in dataclasses.fields(template) if prefix + f.name not in fixed}
@@ -103,9 +104,10 @@ def merge_settings(parts, path, file_values: dict[str, str], flags, fixed=(), fl
         i, name = known[key]
         updates[i][name] = _coerce(key, value, getattr(parts[i][0], name), path)
         origins[i][name] = f"{path}: key {key!r}"
-    for key, (i, name) in known.items():
-        if getattr(flags, key, None) is not None:
-            updates[i][name] = getattr(flags, key)
+    for key, value in vars(flags).items():  # parser order: rejections list flags in it
+        if key in known and value is not None:
+            i, name = known[key]
+            updates[i][name] = value
             origins[i][name] = (flag_names or {}).get(key, flag_name(key))
-    return [_build(template, values, named)
+    return [(_build(template, values, named), named)
             for (template, _), values, named in zip(parts, updates, origins)]

@@ -151,17 +151,16 @@ def detection_probability(shift: float) -> float:
     return 1.0 - phi(h - shift) + phi(-h - shift)
 
 
-def sparsity_profile(delta: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-element values plus the fraction below 5% of the largest magnitude.
+def sparsity_fraction(delta: np.ndarray) -> float:
+    """The fraction of elements below 5% of the largest magnitude.
 
     An all-zero vector counts as fully sparse (fraction 1.0).
     """
-    values = np.asarray(delta, dtype=np.float64).copy()
-    largest = float(np.abs(values).max()) if values.size else 0.0
+    magnitudes = np.abs(np.asarray(delta, dtype=np.float64))
+    largest = float(magnitudes.max()) if magnitudes.size else 0.0
     if largest == 0.0:
-        return values, 1.0
-    fraction = float((np.abs(values) < SPARSITY_THRESHOLD_RATIO * largest).mean())
-    return values, fraction
+        return 1.0
+    return float((magnitudes < SPARSITY_THRESHOLD_RATIO * largest).mean())
 
 
 def unit_range(raw: np.ndarray) -> np.ndarray:
@@ -187,7 +186,6 @@ def evaluate_attack(
     plus, minus = epsilon_gap(rows)
     elements = np.concatenate(perturbation.vectors)
     probabilities = [detection_probability(v) for v in elements]
-    _, sparsity = sparsity_profile(elements)
     return AttackReport(
         mode=mode or perturbation.provenance,
         family=perturbation.family,
@@ -197,7 +195,7 @@ def evaluate_attack(
         epsilon_minus=minus,
         detection_probabilities=probabilities,
         detection_max=max(probabilities),
-        sparsity_fraction=sparsity,
+        sparsity_fraction=sparsity_fraction(elements),
         config=dict(config or {}),
         views=views,
     )

@@ -3,8 +3,8 @@
 A plan pins every knob of one experiment: data generation, training,
 attack and output location. Running a plan produces checkpoints, a
 report, a perturbation dump and image grids in the plan's directory, and
-the full plan is echoed into each of them, so any result can be
-regenerated from its report alone.
+the full plan is echoed into each of them, so each report records the
+complete configuration that produced it.
 """
 
 from __future__ import annotations

@@ -8,6 +8,14 @@ from latentpoison.experiment import grid_plans, run_experiment
 from latentpoison.models import TrainConfig, train_classifier, train_vae
 
 
+@pytest.hookimpl(tryfirst=True)
+def pytest_collection_modifyitems(items):
+    """Mark every test that requests ``additive_grid``, so ``-m "not additive_grid"`` skips it."""
+    for item in items:
+        if "additive_grid" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.additive_grid)
+
+
 @pytest.fixture(scope="session")
 def tiny_data():
     """60 samples at 8x8, enough to exercise trainers quickly."""

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from latentpoison import attack
 from latentpoison import autodiff as ad
 from latentpoison.attack import (
+    VECTOR_NAMES,
     AttackConfig,
     Perturbation,
     _attack_batch_loss,
@@ -22,6 +23,7 @@ from latentpoison.attack import (
 )
 from latentpoison.autodiff import ShapeMismatchError, Tensor
 from latentpoison.models import (
+    ClassifierParams,
     VaeParams,
     _classifier_config,
     _epoch_batches,
@@ -33,6 +35,7 @@ from latentpoison.models import (
     vae_batch_loss,
 )
 from latentpoison.seeds import LATENT_NOISE, PARAM_INIT, SHUFFLE, stream
+from reduction import total
 
 # Vectors drawn on a bounded power-of-two lattice: on that grid float
 # addition is exact, which is what makes the transform pair exactly
@@ -93,7 +96,7 @@ class TestAdditiveTransform:
     def test_tensor_path_gradients(self):
         z = Tensor(np.zeros((3, 2)))
         delta = Tensor(np.array([1.0, 2.0]))
-        ad.backward(tamper(z, np.ones(3), [delta], "additive").sum(), [delta])
+        ad.backward(total(tamper(z, np.ones(3), [delta], "additive")), [delta])
         np.testing.assert_array_equal(delta.grad, [-3.0, -3.0])
 
     @pytest.mark.parametrize("apply", [
@@ -104,7 +107,7 @@ class TestAdditiveTransform:
         delta = Tensor(np.array([1.0, 2.0]))
         out = apply(np.ones((3, 2)), delta)
         assert isinstance(out, Tensor) and out.data.shape == (3, 2)
-        ad.backward(out.sum(), [delta])
+        ad.backward(total(out), [delta])
         np.testing.assert_array_equal(delta.grad, [3.0, 3.0])
 
 
@@ -168,15 +171,35 @@ class TestTamperRule:
         down = Tensor((labels == 1).astype(np.float64).reshape(-1, 1))
         formulas = {
             "additive": lambda z, v: z + sign * v[0],
-            "per-direction": lambda z, v: (z + up * v[0]) - down * v[1],
+            "per-direction": lambda z, v: ad.sub(z + up * v[0], down * v[1]),
             "multiplicative": lambda z, v: z * (v[0] + 1.0),
         }
         grads = []
         for build in (lambda z, v: tamper(z, labels, v, family), formulas[case]):
             vectors = [Tensor(v.copy()) for v in arrays]
-            ad.backward((build(Tensor(codes), vectors) * weights).sum(), vectors)
+            ad.backward(total(build(Tensor(codes), vectors) * weights), vectors)
             grads.append([v.grad.tobytes() for v in vectors])
         assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("norm_order", [1, 2], ids=["L1", "L2"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_attack_objective_matches_finite_differences(self, case, norm_order):
+        # the training objective itself, through tamper, decoder and classifier; a small
+        # reg weight keeps the penalty's gradient from swamping the networks' part
+        family = "multiplicative" if case == "multiplicative" else "additive"
+        config = AttackConfig(norm_order=norm_order, family=family,
+                              per_direction=case == "per-direction", reg_weight=0.001)
+
+        def build(rng):
+            vae = VaeParams.initialize(64, 8, rng, hidden=(16, 12))
+            clf = ClassifierParams.initialize(64, rng, role="attack", hidden=(12, 8))
+            codes = rng.standard_normal((6, 8))
+            vectors = [Tensor(rng.normal(0.0, 0.5, 8), name=name)
+                       for name in VECTOR_NAMES[: 2 if config.per_direction else 1]]
+            labels = np.array([0, 1, 1, 0, 1, 0])
+            return (lambda: _attack_batch_loss(vae, clf, codes, labels, vectors, config)), vectors
+
+        assert ad.grad_check(build, seed=31, fd_step=1e-5) < 1e-4
 
     def test_second_vector_width_checked(self):
         with pytest.raises(ShapeMismatchError, match="width"):

@@ -52,18 +52,28 @@ def _merge(file_values, fixed=(), **flags):
 
 class TestMergeSettings:
     def test_file_values_are_coerced_per_part(self):
-        a, b = _merge({"steps": "3", "b_rate": "0.25", "b_on": "yes"})
+        (a, _), (b, _) = _merge({"steps": "3", "b_rate": "0.25", "b_on": "yes"})
         assert (a, b) == (_Part(steps=3), _Part(rate=0.25, on=True))
 
     def test_flags_beat_file_values(self):
-        a, b = _merge({"steps": "3", "b_steps": "4"}, steps=7, b_steps=None)
+        (a, _), (b, _) = _merge({"steps": "3", "b_steps": "4"}, steps=7, b_steps=None)
         assert (a.steps, b.steps) == (7, 4)
 
     def test_fixed_names_keep_the_template_value(self):
         with pytest.raises(ConfigError, match="^x.cfg: key 'b_steps' is fixed by this command$"):
             _merge({"b_steps": "2"}, fixed=("b_steps",))
-        _, b = _merge({}, fixed=("b_steps",), b_steps=9)
+        _, (b, _) = _merge({}, fixed=("b_steps",), b_steps=9)
         assert b.steps == 1
+
+    def test_origins_name_each_file_key_and_flag(self):
+        parts = [(_Part(), ""), (_Part(), "b_")]
+        flags = argparse.Namespace(rate=0.1, b_on=True, b_steps=None)
+        merged = merge_settings(parts, "x.cfg", {"steps": "3", "b_rate": "0.25"}, flags,
+                                flag_names={"b_on": "--on-b"})
+        assert [origins for _, origins in merged] == [
+            {"steps": "x.cfg: key 'steps'", "rate": "--rate"},
+            {"rate": "x.cfg: key 'b_rate'", "on": "--on-b"},
+        ]
 
     @pytest.mark.parametrize("file_values, flags, names, origin", [
         ({"b_steps": "-1"}, {}, None, "x.cfg: key 'b_steps'"),

@@ -25,7 +25,7 @@ from latentpoison.evaluation import (
     detection_probability,
     epsilon_gap,
     evaluate_attack,
-    sparsity_profile,
+    sparsity_fraction,
     unit_range,
 )
 from latentpoison.models import decode, encode_mean
@@ -183,22 +183,18 @@ class TestDetectionProbability:
 
 class TestSparsityProfile:
     def test_counting(self):
-        values, fraction = sparsity_profile(np.array([0.0, 0.0, 5.0, 0.0]))
-        assert fraction == 0.75
-        np.testing.assert_array_equal(values, [0.0, 0.0, 5.0, 0.0])
+        assert sparsity_fraction(np.array([0.0, 0.0, 5.0, 0.0])) == 0.75
 
     def test_uniform_vector_has_no_sparse_entries(self):
-        _, fraction = sparsity_profile(np.full(8, 3.3))
-        assert fraction == 0.0
+        assert sparsity_fraction(np.full(8, 3.3)) == 0.0
 
     def test_zero_vector_is_fully_sparse(self):
-        _, fraction = sparsity_profile(np.zeros(5))
-        assert fraction == 1.0
+        assert sparsity_fraction(np.zeros(5)) == 1.0
 
     @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=32))
     def test_matches_bruteforce_count(self, values):
         arr = np.array(values)
-        _, fraction = sparsity_profile(arr)
+        fraction = sparsity_fraction(arr)
         largest = max(abs(v) for v in values)
         if largest == 0:
             assert fraction == 1.0
