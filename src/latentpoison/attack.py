@@ -310,7 +310,9 @@ def learn_attack_protocol(
     ``vae_config.seed``. ``independent`` then trains the VAE alone and
     attacks it frozen with every config through :func:`learn_attack_frozen`.
     The poisoning modes run the VAE step as the lead of one
-    :func:`_learn_attacks` run on the VAE's seed and batches; a batch's
+    :func:`_learn_attacks` run on the VAE's seed and batches, so every
+    config's ``batch_size`` must equal the VAE's (else a ``ValueError``
+    naming both) and a config's ``seed`` only seeds ``random_init``; a batch's
     perturbation steps share one encoding by the VAE as its step left it.
     VAE steps never read a perturbation, so several configs share one VAE
     trajectory, each perturbation is the one its config learns alone, and a
@@ -328,6 +330,10 @@ def learn_attack_protocol(
     with_class_term = mode == "poisoning+class"
     if with_class_term:
         _require_class_weight(vae_config.recon_class_weight, mode)
+    sizes = {config.batch_size for config in attack_configs} - {vae_config.batch_size}
+    if mode != "independent" and sizes:
+        raise ValueError(f"{mode} attacks run on the VAE's batches: attack batch_size "
+                         f"{min(sizes)} differs from the VAE's {vae_config.batch_size}")
     classifier = train_classifier(dataset, _classifier_config(vae_config, "attack"), "attack")
     if mode == "independent":
         vae = train_vae(dataset, vae_config)

@@ -497,7 +497,7 @@ def _no_encoding(*args):
 class TestPoisoningAttacks:
     def test_zero_attack_epochs_decouples(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=2)
-        attack_config = AttackConfig(epochs=0, seed=2)
+        attack_config = AttackConfig(epochs=0, batch_size=16, seed=2)
         vae, _, pert = learn_attack_protocol("poisoning", tiny_data, vae_config, attack_config)
         np.testing.assert_array_equal(pert.delta, 0.0)
         untrained = train_vae(tiny_data, dataclasses.replace(vae_config, epochs=0))
@@ -514,7 +514,7 @@ class TestPoisoningAttacks:
         # perturbation steps must not influence the autoencoder trajectory,
         # also in epochs where only one of the two steps is still live
         vae_config = dataclasses.replace(tiny_config, epochs=vae_epochs)
-        attack_config = AttackConfig(epochs=attack_epochs, seed=0)
+        attack_config = AttackConfig(epochs=attack_epochs, batch_size=16, seed=0)
         joint_vae, _, _ = learn_attack_protocol("poisoning", tiny_data, vae_config, attack_config)
         plain_vae = train_vae(tiny_data, vae_config)
         for a, b in zip(joint_vae.parameters(), plain_vae.parameters()):
@@ -552,7 +552,7 @@ class TestPoisoningAttacks:
 
     def test_same_seed_reproducible(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=2)
-        attack_config = AttackConfig(epochs=2, seed=4)
+        attack_config = AttackConfig(epochs=2, batch_size=16, seed=4)
         vae_a, _, pert_a = learn_attack_protocol("poisoning", tiny_data, vae_config, attack_config)
         vae_b, _, pert_b = learn_attack_protocol("poisoning", tiny_data, vae_config, attack_config)
         np.testing.assert_array_equal(pert_a.delta, pert_b.delta)
@@ -561,7 +561,7 @@ class TestPoisoningAttacks:
 
     def test_provenance_tags(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=1, recon_class_weight=1.0)
-        attack_config = AttackConfig(epochs=1, seed=6)
+        attack_config = AttackConfig(epochs=1, batch_size=16, seed=6)
         _, classifier, pert = learn_attack_protocol(
             "poisoning", tiny_data, tiny_config, attack_config
         )
@@ -573,7 +573,7 @@ class TestPoisoningAttacks:
     def test_returned_networks_hold_no_gradients(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=1, recon_class_weight=1.0)
         vae, classifier, _ = learn_attack_protocol(
-            "poisoning+class", tiny_data, vae_config, AttackConfig(epochs=1, seed=6)
+            "poisoning+class", tiny_data, vae_config, AttackConfig(epochs=1, batch_size=16, seed=6)
         )
         assert all(p.grad is None for p in vae.parameters() + classifier.parameters())
 
@@ -588,9 +588,23 @@ class TestPoisoningAttacks:
                 "poisoning+class", tiny_data, tiny_config, AttackConfig(epochs=1)
             )
 
+    @pytest.mark.parametrize("mode", ["poisoning", "poisoning+class"])
+    def test_batch_size_must_match_the_vae(self, tiny_data, tiny_config, mode, monkeypatch):
+        # the attack steps run on the VAE's batches, so another size would be ignored
+        def no_training(*args, **kwargs):
+            raise AssertionError("the batch-size check must come before any training")
+
+        monkeypatch.setattr(attack, "train_classifier", no_training)
+        vae_config = dataclasses.replace(tiny_config, recon_class_weight=1.0)
+        configs = [AttackConfig(epochs=1, batch_size=16), AttackConfig(epochs=1, batch_size=8)]
+        message = (f"{mode} attacks run on the VAE's batches: "
+                   "attack batch_size 8 differs from the VAE's 16")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            learn_attack_protocol(mode, tiny_data, vae_config, *configs)
+
     def test_class_mode_changes_vae(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=2, recon_class_weight=1.0)
-        attack_config = AttackConfig(epochs=1, seed=8)
+        attack_config = AttackConfig(epochs=1, batch_size=16, seed=8)
         plain, _, _ = learn_attack_protocol("poisoning", tiny_data, vae_config, attack_config)
         boosted, _, _ = learn_attack_protocol(
             "poisoning+class", tiny_data, vae_config, attack_config
