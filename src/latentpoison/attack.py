@@ -160,8 +160,8 @@ def tamper(codes, labels, vectors, family: str) -> Tensor:
         # +delta where the label is 0, -delta where it is 1
         return ad.add(codes, ad.mul((1.0 - 2.0 * labels).reshape(-1, 1), vectors[0]))
     up = (labels == 0).astype(np.float64).reshape(-1, 1)
-    down = (labels == 1).astype(np.float64).reshape(-1, 1)
-    return ad.sub(ad.add(codes, ad.mul(up, vectors[0])), ad.mul(down, vectors[1]))
+    down = -(labels == 1).astype(np.float64).reshape(-1, 1)
+    return ad.add(ad.add(codes, ad.mul(up, vectors[0])), ad.mul(down, vectors[1]))
 
 
 def attack_loss(scores: Tensor, labels, vectors, norm_order: int, reg_weight: float) -> Tensor:
@@ -261,6 +261,14 @@ def _learn_attacks(vae: VaeParams, classifier: ClassifierParams, labels: np.ndar
     return perturbations
 
 
+def _batch_keys(configs) -> list[tuple[int, int]]:
+    """``[(seed, batch_size)]`` the configs share (``[]`` for none), else a ``ValueError``."""
+    keys = list(dict.fromkeys((config.seed, config.batch_size) for config in configs))
+    if len(keys) > 1:
+        raise ValueError(f"configs must share one (seed, batch_size), got {keys[0]} and {keys[1]}")
+    return keys
+
+
 def learn_attack_frozen(vae: VaeParams, classifier: ClassifierParams, dataset: Dataset,
                         *configs: AttackConfig) -> list[Perturbation]:
     """One perturbation per config against a frozen, pre-trained VAE and classifier, in order.
@@ -281,9 +289,7 @@ def learn_attack_frozen(vae: VaeParams, classifier: ClassifierParams, dataset: D
     _require_role(classifier, "attack", "the independent attack")
     _require_same_widths({"vae": vae, "classifier": classifier, "dataset": dataset})
     dataset.require_both_classes("learn_attack_frozen")
-    keys = list(dict.fromkeys((config.seed, config.batch_size) for config in configs))
-    if len(keys) > 1:
-        raise ValueError(f"configs must share one (seed, batch_size), got {keys[0]} and {keys[1]}")
+    keys = _batch_keys(configs)
     if not configs:
         return []
     [(seed, batch_size)] = keys
@@ -308,7 +314,8 @@ def learn_attack_protocol(
 
     The attack classifier comes first, once, on its role's sub-seed of
     ``vae_config.seed``. ``independent`` then trains the VAE alone and
-    attacks it frozen with every config through :func:`learn_attack_frozen`.
+    attacks it frozen with every config through :func:`learn_attack_frozen`,
+    so the configs must share one ``(seed, batch_size)``, checked before any training.
     The poisoning modes run the VAE step as the lead of one
     :func:`_learn_attacks` run on the VAE's seed and batches, so every
     config's ``batch_size`` must equal the VAE's (else a ``ValueError``
@@ -331,7 +338,9 @@ def learn_attack_protocol(
     if with_class_term:
         _require_class_weight(vae_config.recon_class_weight, mode)
     sizes = {config.batch_size for config in attack_configs} - {vae_config.batch_size}
-    if mode != "independent" and sizes:
+    if mode == "independent":
+        _batch_keys(attack_configs)
+    elif sizes:
         raise ValueError(f"{mode} attacks run on the VAE's batches: attack batch_size "
                          f"{min(sizes)} differs from the VAE's {vae_config.batch_size}")
     classifier = train_classifier(dataset, _classifier_config(vae_config, "attack"), "attack")

@@ -4,9 +4,9 @@ Graphs are built functionally: every operation returns a fresh ``Tensor``
 that records its parents and, per parent, a closure mapping the output
 gradient to that parent's gradient. Parameters are long-lived leaf
 tensors; intermediate nodes are rebuilt on every forward pass.
-The engine keeps only the ops the package calls: :func:`add`, :func:`sub`,
-:func:`mul`, :func:`exp` and :func:`matmul` (``Tensor`` overloads ``+`` and
-``*``), :func:`mlp`, and the loss nodes :func:`bce`,
+The engine keeps only the ops the package calls: :func:`add`, :func:`mul`,
+:func:`exp` and :func:`matmul` (``Tensor`` overloads ``+`` and ``*``),
+:func:`mlp`, and the loss nodes :func:`bce`,
 :func:`kl_standard_normal` and :func:`lp_penalty`.
 :func:`mlp` is the one dense-layer op: a whole chain of affine layers and
 their activations is one node, so a network adds one node to the graph.
@@ -100,13 +100,6 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
     back = (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(g, b.data.shape))
-    return Tensor(out, _parents=(a, b), _backward=back)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-    back = (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(-g, b.data.shape))
     return Tensor(out, _parents=(a, b), _backward=back)
 
 

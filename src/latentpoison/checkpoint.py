@@ -54,20 +54,8 @@ class CheckpointError(ValueError):
     """A checkpoint file cannot be used."""
 
 
-class CheckpointVersionError(CheckpointError):
-    """The file is not a checkpoint of a supported format version."""
-
-
-class CheckpointTruncatedError(CheckpointError):
-    """The file ends before a declared section."""
-
-
 class CheckpointHashError(CheckpointError):
     """The payload does not match its stored hash."""
-
-
-class CheckpointKindError(CheckpointError):
-    """The checkpoint holds a different artifact kind than expected."""
 
 
 def _payload_hash(payload: bytes) -> bytes:
@@ -142,6 +130,10 @@ def _field(desc: dict, name: str, kind, path):
 def _rebuild(kind: str, desc: dict, payload: bytes, path):
     """The artifact a descriptor and payload hold, every field read as ``_FIELDS`` lists it."""
     values = {name: _field(desc, name, json_type, path) for name, json_type in _FIELDS[kind].items()}
+    widths = [(name, values[name]) for name in ("image_dim", "latent_dim") if name in values]
+    for name, width in widths + [("hidden", width) for width in values.get("hidden", ())]:
+        if width < 1:
+            raise CheckpointError(f"{path}: descriptor field {name!r} holds a width below 1: {width}")
     if kind == "perturbation":
         count = 2 if values.pop("per_direction") else 1
         arrays = _split_payload(payload, [(values.pop("latent_dim"),)] * count, path)
@@ -169,14 +161,14 @@ def load_checkpoint(path, expect_kind: str | None = None):
     Returns the artifact and the config echo stored with it:
     ``(artifact, config_dict_or_None)``.
     """
-    reader = ByteReader(path, CheckpointTruncatedError, CheckpointError)
+    reader = ByteReader(path, CheckpointError)
     path = reader.path
     magic = reader.take(4, "magic")
     if magic[:3] != MAGIC_PREFIX or not magic[3:4].isdigit():
-        raise CheckpointVersionError(f"{path}: not a checkpoint file (magic {magic!r})")
+        raise CheckpointError(f"{path}: not a checkpoint file (magic {magic!r})")
     version = int(magic[3:4])
     if version != FORMAT_VERSION:
-        raise CheckpointVersionError(
+        raise CheckpointError(
             f"{path}: format version {version}, supported version is {FORMAT_VERSION}"
         )
     (kind_byte,) = struct.unpack("<B", reader.take(1, "kind"))
@@ -201,5 +193,5 @@ def load_checkpoint(path, expect_kind: str | None = None):
     if _payload_hash(payload) != stored_hash:
         raise CheckpointHashError(f"{path}: payload hash mismatch, file is corrupt")
     if expect_kind is not None and kind != expect_kind:
-        raise CheckpointKindError(f"{path}: holds a {kind}, expected a {expect_kind}")
+        raise CheckpointError(f"{path}: holds a {kind}, expected a {expect_kind}")
     return _rebuild(kind, desc, payload, path), desc.get("config")

@@ -38,21 +38,21 @@ def load_config_file(path) -> dict[str, str]:
     return parse_config_text(path.read_text(encoding="utf-8"), origin=str(path))
 
 
-def _coerce(key: str, value: str, template, path) -> object:
+def _coerce(value: str, template, origin: str) -> object:
     if isinstance(template, bool):
         lowered = value.lower()
         if lowered in ("true", "1", "yes"):
             return True
         if lowered in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{path}: key {key!r}: expected a boolean, got {value!r}")
+        raise ConfigError(f"{origin}: expected a boolean, got {value!r}")
     try:
         if isinstance(template, int):
             return int(value)
         if isinstance(template, float):
             return float(value)
     except ValueError as exc:
-        raise ConfigError(f"{path}: key {key!r}: {exc}") from exc
+        raise ConfigError(f"{origin}: {exc}") from exc
     return value
 
 
@@ -96,14 +96,15 @@ def merge_settings(parts, path, file_values: dict[str, str], flags, fixed=(), fl
     updates = [{} for _ in parts]
     origins = [{} for _ in parts]
     for key, value in file_values.items():
+        origin = f"{path}: key {key!r}"
         if key in fixed:
-            raise ConfigError(f"{path}: key {key!r} is fixed by this command")
+            raise ConfigError(f"{origin} is fixed by this command")
         if key not in known:
             raise ConfigError(f"{path}: unknown configuration key {key!r}; "
                               f"known keys: {', '.join(sorted(known))}")
         i, name = known[key]
-        updates[i][name] = _coerce(key, value, getattr(parts[i][0], name), path)
-        origins[i][name] = f"{path}: key {key!r}"
+        updates[i][name] = _coerce(value, getattr(parts[i][0], name), origin)
+        origins[i][name] = origin
     for key, value in vars(flags).items():  # parser order: rejections list flags in it
         if key in known and value is not None:
             i, name = known[key]

@@ -23,18 +23,6 @@ class IdxFormatError(ValueError):
     """An IDX file does not parse as expected."""
 
 
-class IdxMagicError(IdxFormatError):
-    """The magic number is not an IDX image or label magic."""
-
-
-class IdxTruncatedError(IdxFormatError):
-    """The file ends before its declared payload."""
-
-
-class IdxCountMismatchError(IdxFormatError):
-    """Image and label files declare different sample counts."""
-
-
 @dataclass
 class Dataset:
     """Labeled image vectors with values in [0, 1] and binary labels."""
@@ -155,19 +143,19 @@ class ByteReader:
     """A whole file read once, then taken part by part; IDX files and checkpoints share it.
 
     A declared size is never trusted: ``take(n, what)`` checks ``n`` against
-    the bytes left before it slices, else raises ``truncated``, and
-    ``last(n, what)`` also rejects any byte after the part with ``malformed``.
-    Both messages name the file and the part; each format passes its own classes.
+    the bytes left before it slices, and ``last(n, what)`` also rejects any
+    byte after the part. Both raise ``error``, each format's own class, with a
+    message that names the file and the part.
     """
 
-    def __init__(self, path, truncated: type[Exception], malformed: type[Exception]):
-        self.path, self.truncated, self.malformed = Path(path), truncated, malformed
+    def __init__(self, path, error: type[Exception]):
+        self.path, self.error = Path(path), error
         self.blob, self.offset = self.path.read_bytes(), 0
 
     def take(self, n: int, what: str) -> bytes:
         left = len(self.blob) - self.offset
         if n > left:
-            raise self.truncated(f"{self.path}: expected {n} bytes for {what}, got {left}")
+            raise self.error(f"{self.path}: expected {n} bytes for {what}, got {left}")
         self.offset += n
         return self.blob[self.offset - n : self.offset]
 
@@ -175,7 +163,7 @@ class ByteReader:
         part = self.take(n, what)
         extra = len(self.blob) - self.offset
         if extra:
-            raise self.malformed(f"{self.path}: {extra} bytes after the {what}")
+            raise self.error(f"{self.path}: {extra} bytes after the {what}")
         return part
 
 
@@ -198,10 +186,10 @@ def _write_file(path, data: bytes | str) -> None:
 
 def _read_idx(path, magic: int, ndim: int, what: str) -> tuple[tuple[int, ...], bytes]:
     """One IDX file's ``ndim`` header sizes and its payload, named ``what``, which ends the file."""
-    reader = ByteReader(path, IdxTruncatedError, IdxFormatError)
+    reader = ByteReader(path, IdxFormatError)
     (found,) = struct.unpack(">I", reader.take(4, "magic"))
     if found != magic:
-        raise IdxMagicError(f"{reader.path}: magic {found:#010x}, expected {magic:#010x}")
+        raise IdxFormatError(f"{reader.path}: magic {found:#010x}, expected {magic:#010x}")
     sizes = struct.unpack(f">{ndim}I", reader.take(4 * ndim, "dimensions" if ndim > 1 else "count"))
     for name, size in zip(("count", "height", "width"), sizes):
         if size == 0:
@@ -219,7 +207,7 @@ def load_idx(image_path, label_path, positive_labels) -> Dataset:
     (count, height, width), pixels = _read_idx(image_path, IDX_IMAGE_MAGIC, 3, "pixels")
     (label_count,), raw_labels = _read_idx(label_path, IDX_LABEL_MAGIC, 1, "labels")
     if label_count != count:
-        raise IdxCountMismatchError(
+        raise IdxFormatError(
             f"{Path(image_path)} holds {count} images but {Path(label_path)} holds "
             f"{label_count} labels"
         )

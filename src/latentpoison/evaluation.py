@@ -56,7 +56,6 @@ class AttackReport:
     rows: list[ConfidenceRow]
     epsilon_plus: float
     epsilon_minus: float
-    detection_probabilities: list[float]
     detection_max: float
     sparsity_fraction: float
     config: dict = field(default_factory=dict)
@@ -185,7 +184,6 @@ def evaluate_attack(
     rows = confidence_table(views, classifier)
     plus, minus = epsilon_gap(rows)
     elements = np.concatenate(perturbation.vectors)
-    probabilities = [detection_probability(v) for v in elements]
     return AttackReport(
         mode=mode or perturbation.provenance,
         family=perturbation.family,
@@ -193,8 +191,7 @@ def evaluate_attack(
         rows=rows,
         epsilon_plus=plus,
         epsilon_minus=minus,
-        detection_probabilities=probabilities,
-        detection_max=max(probabilities),
+        detection_max=max(detection_probability(v) for v in elements),
         sparsity_fraction=sparsity_fraction(elements),
         config=dict(config or {}),
         views=views,

@@ -68,9 +68,6 @@ class ExperimentPlan:
             _require_class_weight(self.recon_class_weight, self.mode)
         self.attack_config()
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def vae_config(self) -> TrainConfig:
         return TrainConfig(
             epochs=self.vae_epochs,
@@ -114,7 +111,7 @@ def write_outputs(plan: ExperimentPlan, report: AttackReport, vae: VaeParams,
                   perturbation: Perturbation) -> None:
     """Save the plan's checkpoints, report and dumps, and draw its PGMs from ``report.views``."""
     out = Path(plan.out_dir)
-    echo = plan.as_dict()
+    echo = dataclasses.asdict(plan)
     save_checkpoint(vae, out / "vae.ckpt", config=echo)
     save_checkpoint(eval_classifier, out / "eval_classifier.ckpt", config=echo)
     if attack_classifier is not None:
@@ -145,7 +142,7 @@ def run_experiment(plan: ExperimentPlan) -> AttackReport:
         learn_attack_protocol, plan.mode, train_set, plan.vae_config(), plan.attack_config()
     )
     report = _stage("evaluate")(evaluate_attack, vae, perturbation, eval_classifier, test_set,
-                                config=plan.as_dict(), mode=plan.mode)
+                                config=dataclasses.asdict(plan), mode=plan.mode)
     _stage("write-outputs")(
         write_outputs, plan, report, vae, eval_classifier, attack_classifier, perturbation
     )

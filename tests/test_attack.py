@@ -24,6 +24,7 @@ from latentpoison.attack import (
 from latentpoison.autodiff import ShapeMismatchError, Tensor
 from latentpoison.models import (
     ClassifierParams,
+    TrainConfig,
     VaeParams,
     _classifier_config,
     _epoch_batches,
@@ -171,7 +172,7 @@ class TestTamperRule:
         down = Tensor((labels == 1).astype(np.float64).reshape(-1, 1))
         formulas = {
             "additive": lambda z, v: z + sign * v[0],
-            "per-direction": lambda z, v: ad.sub(z + up * v[0], down * v[1]),
+            "per-direction": lambda z, v: z + up * v[0] + -1.0 * (down * v[1]),
             "multiplicative": lambda z, v: z * (v[0] + 1.0),
         }
         grads = []
@@ -619,6 +620,19 @@ class TestLearnAttackProtocol:
     def test_unknown_mode_rejected(self, tiny_data, tiny_config):
         with pytest.raises(ValueError, match="mode must be one of"):
             learn_attack_protocol("backdoor", tiny_data, tiny_config, AttackConfig(epochs=1))
+
+    def test_independent_batch_order_checked_before_training(self, tiny_data, monkeypatch):
+        # learn_attack_frozen's rule, checked before the classifier and the VAE train
+        def no_training(*args, **kwargs):
+            raise AssertionError("the batch-order check must come before any training")
+
+        monkeypatch.setattr(attack, "train_classifier", no_training)
+        vae_config = TrainConfig(epochs=2, batch_size=16, latent_dim=4)
+        configs = [AttackConfig(epochs=1, batch_size=16, seed=1),
+                   AttackConfig(epochs=1, batch_size=16, seed=2)]
+        message = "configs must share one (seed, batch_size), got (1, 16) and (2, 16)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            learn_attack_protocol("independent", tiny_data, vae_config, *configs)
 
     def test_independent_is_its_three_stages(self, tiny_data, tiny_config):
         vae_config = dataclasses.replace(tiny_config, epochs=2)

@@ -500,6 +500,25 @@ class TestAttackAndEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'hidden'" in err
 
+    def test_evaluate_names_a_zero_latent_width(self, data_dir, artifacts, tmp_path, capsys):
+        # a VAE and a perturbation of latent width 0 agree with each other, and once loaded
+        # failed in the report with "max() arg is an empty sequence", naming no file
+        vae = tmp_path / "vae0.ckpt"
+        save_checkpoint(VaeParams.initialize(64, 0, np.random.default_rng(0)), vae)
+        save_checkpoint(Perturbation(np.zeros(0), 2, "additive", 0.01, "independent"),
+                        tmp_path / "dz0.ckpt")
+        code = main([
+            "evaluate", "--vae", str(vae), "--perturbation", str(tmp_path / "dz0.ckpt"),
+            "--classifier", str(artifacts / "eval.ckpt"),
+            "--images", str(data_dir / "test-images.idx"),
+            "--labels", str(data_dir / "test-labels.idx"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {vae}: descriptor field 'latent_dim' holds a width below 1: 0\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestRender:
     def test_renders_grid(self, data_dir, tmp_path):

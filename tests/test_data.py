@@ -15,10 +15,7 @@ from latentpoison.data import (
     IDX_LABEL_MAGIC,
     ByteReader,
     Dataset,
-    IdxCountMismatchError,
     IdxFormatError,
-    IdxMagicError,
-    IdxTruncatedError,
     _write_file,
     feature_mask,
     generate_synthetic,
@@ -140,24 +137,24 @@ class TestIdx:
 
     def test_bad_image_magic(self, tmp_path):
         img, lbl = _write_idx_pair(tmp_path, [0] * 4, [1], 2, 2, image_magic=0xDEAD)
-        with pytest.raises(IdxMagicError, match="magic"):
+        with pytest.raises(IdxFormatError, match="magic"):
             load_idx(img, lbl, positive_labels={1})
 
     def test_bad_label_magic(self, tmp_path):
         img, lbl = _write_idx_pair(tmp_path, [0] * 4, [1], 2, 2, label_magic=0xBEEF)
-        with pytest.raises(IdxMagicError):
+        with pytest.raises(IdxFormatError, match="magic 0x0000beef"):
             load_idx(img, lbl, positive_labels={1})
 
     def test_truncated_pixels(self, tmp_path):
         img, lbl = _write_idx_pair(tmp_path, [0] * 4, [1], 2, 2, truncate_images=2)
-        with pytest.raises(IdxTruncatedError, match="pixels"):
+        with pytest.raises(IdxFormatError, match="pixels"):
             load_idx(img, lbl, positive_labels={1})
 
     def test_header_sizes_checked_before_any_read(self, tmp_path):
         # declares 0xFFFFFFFF images of 0xFFFF x 0xFFFF pixels in a 16-byte file
         img, lbl = _write_idx_pair(tmp_path, [], [], 0, 0)
         img.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0xFFFFFFFF, 0xFFFF, 0xFFFF))
-        with pytest.raises(IdxTruncatedError, match=r"img\.idx: expected \d+ bytes for pixels"):
+        with pytest.raises(IdxFormatError, match=r"img\.idx: expected \d+ bytes for pixels"):
             load_idx(img, lbl, positive_labels={1})
 
     @pytest.mark.parametrize("which, header, name", [
@@ -185,7 +182,7 @@ class TestIdx:
         label_path = tmp_path / "lbl.idx"
         image_path.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 2, 2, 2) + bytes(8))
         label_path.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 3) + bytes([0, 1, 0]))
-        with pytest.raises(IdxCountMismatchError, match="2 images.*3 labels"):
+        with pytest.raises(IdxFormatError, match="2 images.*3 labels"):
             load_idx(image_path, label_path, positive_labels={1})
 
     def test_save_load_round_trip_quantized(self, tmp_path):
@@ -215,17 +212,14 @@ class TestIdx:
 
 
 class TestByteReader:
-    """The one bounded reader: each format passes the exception classes it raises."""
-
-    class Short(Exception):
-        pass
+    """The one bounded reader: each format passes the exception class it raises."""
 
     class Bad(Exception):
         pass
 
     def _reader(self, tmp_path, blob):
         (tmp_path / "f.bin").write_bytes(blob)
-        return ByteReader(tmp_path / "f.bin", self.Short, self.Bad)
+        return ByteReader(tmp_path / "f.bin", self.Bad)
 
     def test_parts_in_order(self, tmp_path):
         reader = self._reader(tmp_path, b"abcdef")
@@ -235,7 +229,7 @@ class TestByteReader:
     def test_short_part_names_file_part_and_bytes_left(self, tmp_path):
         reader = self._reader(tmp_path, b"abcdef")
         reader.take(4, "head")
-        with pytest.raises(self.Short, match=re.escape(f"{tmp_path / 'f.bin'}: expected 3 "
+        with pytest.raises(self.Bad, match=re.escape(f"{tmp_path / 'f.bin'}: expected 3 "
                                                        "bytes for body, got 2")):
             reader.take(3, "body")
 
@@ -297,7 +291,7 @@ def _pgm(image) -> bytes:
 
 def _report():
     rows = [ConfidenceRow(name, 0.5 + i / 10, 0.02) for i, name in enumerate(ROW_NAMES)]
-    return AttackReport("independent", "additive", 2, rows, -0.1, 0.2, [0.01], 0.01, 0.5,
+    return AttackReport("independent", "additive", 2, rows, -0.1, 0.2, 0.01, 0.5,
                         config={"seed": 3})
 
 

@@ -34,7 +34,6 @@ def _reference_report():
         rows=rows,
         epsilon_plus=0.79 - 0.98,
         epsilon_minus=0.85 - 0.95,
-        detection_probabilities=[0.005, 0.04],
         detection_max=0.04,
         sparsity_fraction=0.5,
         config={"seed": 0, "latent_dim": 2},
