@@ -39,6 +39,7 @@ from .models import (
     TrainConfig,
     VaeParams,
     _classifier_config,
+    _require_bound,
     _require_class_weight,
     _require_finite,
     _require_role,
@@ -63,8 +64,7 @@ VECTOR_NAMES = ("delta", "delta_reverse")  # Perturbation's vector fields, in pa
 def _check_fields(norm_order: int, family: str, reg_weight: float, vector_count: int) -> None:
     """The rules an attack config and a learned perturbation share."""
     _require_finite(reg_weight=reg_weight)
-    if reg_weight < 0:
-        raise ValueError(f"reg_weight must be non-negative, got {reg_weight}")
+    _require_bound("non-negative", reg_weight=reg_weight)
     if norm_order not in (1, 2):
         raise ValueError(f"norm_order must be 1 or 2, got {norm_order}")
     if family not in FAMILIES:
@@ -88,13 +88,10 @@ class AttackConfig:
 
     def __post_init__(self):
         _require_finite(lr=self.lr)
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        _require_bound("non-negative", epochs=self.epochs)
+        _require_bound("positive", lr=self.lr)
         _check_fields(self.norm_order, self.family, self.reg_weight, 2 if self.per_direction else 1)
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        _require_bound("at least 1", batch_size=self.batch_size)
 
 
 @dataclass
@@ -121,6 +118,7 @@ class Perturbation:
         self.delta = np.asarray(self.delta, dtype=np.float64)
         if self.delta.ndim != 1:
             raise ValueError(f"delta must be a vector, got shape {self.delta.shape}")
+        _require_bound("at least 1", latent_dim=self.latent_dim)
         if self.delta_reverse is not None:
             self.delta_reverse = np.asarray(self.delta_reverse, dtype=np.float64)
         for name, vector in zip(VECTOR_NAMES, self.vectors):

@@ -67,6 +67,14 @@ def _require_finite(**settings: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_bound(bound: str, **settings) -> None:
+    """Reject the first setting outside ``bound``, by name: the one form of a range rule."""
+    holds = {"non-negative": lambda v: v >= 0, "positive": lambda v: v > 0, "at least 1": lambda v: v >= 1}
+    for name, value in settings.items():
+        if not holds[bound](value):
+            raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters shared by the VAE and classifier trainers.
@@ -88,20 +96,10 @@ class TrainConfig:
     def __post_init__(self):
         _require_finite(lr=self.lr, kl_weight=self.kl_weight,
                         recon_class_weight=self.recon_class_weight)
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.kl_weight < 0:
-            raise ValueError(f"kl_weight must be non-negative, got {self.kl_weight}")
-        if self.recon_class_weight < 0:
-            raise ValueError(
-                f"recon_class_weight must be non-negative, got {self.recon_class_weight}"
-            )
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.latent_dim < 1:
-            raise ValueError(f"latent_dim must be at least 1, got {self.latent_dim}")
+        _require_bound("non-negative", epochs=self.epochs, kl_weight=self.kl_weight,
+                       recon_class_weight=self.recon_class_weight)
+        _require_bound("positive", lr=self.lr)
+        _require_bound("at least 1", batch_size=self.batch_size, latent_dim=self.latent_dim)
 
 
 def _require_class_weight(weight: float, use: str, name: str = "recon_class_weight") -> None:
@@ -122,6 +120,7 @@ def _classifier_config(config: TrainConfig, role: str) -> TrainConfig:
 
 # A network's layout lists (name, fan_in, fan_out) per layer in parameters()
 # order; initialization draws and checkpoints store the layers in that order.
+# Building it rejects a width below 1, before any draw; an empty hidden is valid.
 
 
 def _chain(prefix: str, sizes: list[int]) -> list[tuple[str, int, int]]:
@@ -170,6 +169,8 @@ class VaeParams:
     def layout(
         image_dim: int, latent_dim: int, hidden: tuple[int, ...]
     ) -> list[tuple[str, int, int]]:
+        _require_bound("at least 1", image_dim=image_dim, latent_dim=latent_dim,
+                       hidden=min(hidden, default=1))
         sizes = [image_dim, *hidden]
         return [
             *_chain("enc", sizes),
@@ -215,6 +216,7 @@ class ClassifierParams:
 
     @staticmethod
     def layout(image_dim: int, hidden: tuple[int, ...]) -> list[tuple[str, int, int]]:
+        _require_bound("at least 1", image_dim=image_dim, hidden=min(hidden, default=1))
         return _chain("clf", [image_dim, *hidden, 1])
 
     @classmethod
@@ -230,6 +232,10 @@ class ClassifierParams:
     ) -> "ClassifierParams":
         arrays = _init_arrays(cls.layout(image_dim, hidden), rng)
         return cls._from_arrays(arrays, image_dim, hidden, role)
+
+    def __post_init__(self):
+        if self.role not in ROLES:
+            raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
 
     def parameters(self) -> list[Tensor]:
         return _flatten(self.layers)

@@ -246,6 +246,10 @@ class TestPerturbationType:
         with pytest.raises(ValueError, match="finite"):
             Perturbation(np.array([np.inf]), 2, "additive", 0.01, "independent")
 
+    def test_empty_delta_rejected(self):
+        with pytest.raises(ValueError, match="^latent_dim must be at least 1, got 0$"):
+            Perturbation(np.zeros(0), 2, "additive", 0.01, "independent")
+
     def test_reverse_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
             Perturbation(np.zeros(3), 2, "additive", 0.01, "independent",

@@ -5,10 +5,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from latentpoison.attack import Perturbation
+from latentpoison.attack import FAMILIES, MODES, Perturbation
 from latentpoison.checkpoint import (
     _FIELDS,
     CheckpointError,
@@ -16,7 +16,7 @@ from latentpoison.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from latentpoison.models import ClassifierParams, VaeParams
+from latentpoison.models import ROLES, ClassifierParams, VaeParams
 
 
 def _artifact(kind):
@@ -411,3 +411,60 @@ class TestFuzz:
         path.write_bytes(blobs[kind])
         _rewrite_descriptor(path, edit)
         _load_or_reject(path)
+
+
+WIDTHS = st.integers(0, 3)
+HIDDEN = st.lists(WIDTHS, max_size=2).map(tuple)
+
+
+def _reloaded(build, path, kind):
+    """``build()`` and its reload, or a rejected example if the constructor refuses it."""
+    try:
+        artifact = build()
+    except ValueError:
+        reject()
+    save_checkpoint(artifact, path)
+    return artifact, load_checkpoint(path, expect_kind=kind)[0]
+
+
+def _same_parameters(a, b):
+    return _names_and_shapes(a) == _names_and_shapes(b) and all(
+        np.array_equal(x.data, y.data) for x, y in zip(a.parameters(), b.parameters()))
+
+
+class TestConstructedArtifactsLoad:
+    """Whatever a constructor accepts, save_checkpoint writes and load_checkpoint reads back."""
+
+    @given(WIDTHS, WIDTHS, HIDDEN)
+    @settings(max_examples=30, deadline=None)
+    def test_vae(self, saved, image_dim, latent_dim, hidden):
+        vae, loaded = _reloaded(
+            lambda: VaeParams.initialize(image_dim, latent_dim, np.random.default_rng(0), hidden),
+            saved[1], "vae")
+        assert (loaded.image_dim, loaded.latent_dim, loaded.hidden) == (image_dim, latent_dim, hidden)
+        assert _same_parameters(loaded, vae)
+
+    @given(WIDTHS, HIDDEN, st.sampled_from((*ROLES, "judge")))
+    @settings(max_examples=30, deadline=None)
+    def test_classifier(self, saved, image_dim, hidden, role):
+        classifier, loaded = _reloaded(
+            lambda: ClassifierParams.initialize(image_dim, np.random.default_rng(0), role, hidden),
+            saved[1], "classifier")
+        assert (loaded.image_dim, loaded.hidden, loaded.role) == (image_dim, hidden, role)
+        assert _same_parameters(loaded, classifier)
+
+    @given(st.integers(0, 3), st.booleans(), st.sampled_from(FAMILIES), st.sampled_from((1, 2)),
+           st.floats(0.0, 1.0), st.sampled_from(MODES))
+    @settings(max_examples=30, deadline=None)
+    def test_perturbation(self, saved, latent_dim, per_direction, family, norm_order, reg_weight,
+                          provenance):
+        rng = np.random.default_rng(0)
+        delta, reverse = rng.standard_normal(latent_dim), rng.standard_normal(latent_dim)
+        perturbation, loaded = _reloaded(
+            lambda: Perturbation(delta, norm_order, family, reg_weight, provenance,
+                                 delta_reverse=reverse if per_direction else None),
+            saved[1], "perturbation")
+        assert (loaded.norm_order, loaded.family, loaded.reg_weight, loaded.provenance) == (
+            norm_order, family, reg_weight, provenance)
+        assert len(loaded.vectors) == len(perturbation.vectors)
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.vectors, perturbation.vectors))

@@ -502,11 +502,14 @@ class TestAttackAndEvaluate:
 
     def test_evaluate_names_a_zero_latent_width(self, data_dir, artifacts, tmp_path, capsys):
         # a VAE and a perturbation of latent width 0 agree with each other, and once loaded
-        # failed in the report with "max() arg is an empty sequence", naming no file
+        # failed in the report with "max() arg is an empty sequence", naming no file; the
+        # constructors reject width 0, so each file is a width-4 artifact with its width edited
         vae = tmp_path / "vae0.ckpt"
-        save_checkpoint(VaeParams.initialize(64, 0, np.random.default_rng(0)), vae)
-        save_checkpoint(Perturbation(np.zeros(0), 2, "additive", 0.01, "independent"),
+        save_checkpoint(VaeParams.initialize(64, 4, np.random.default_rng(0)), vae)
+        save_checkpoint(Perturbation(np.zeros(4), 2, "additive", 0.01, "independent"),
                         tmp_path / "dz0.ckpt")
+        for path in (vae, tmp_path / "dz0.ckpt"):
+            path.write_bytes(path.read_bytes().replace(b'"latent_dim": 4', b'"latent_dim": 0'))
         code = main([
             "evaluate", "--vae", str(vae), "--perturbation", str(tmp_path / "dz0.ckpt"),
             "--classifier", str(artifacts / "eval.ckpt"),

@@ -28,7 +28,7 @@ from latentpoison.evaluation import (
     sparsity_fraction,
     unit_range,
 )
-from latentpoison.models import decode, encode_mean
+from latentpoison.models import ClassifierParams, VaeParams, decode, encode_mean
 
 unit_scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -266,6 +266,19 @@ class TestDecodedView:
 
 
 class TestEvaluateAttack:
+    def test_zero_latent_width_rejected_at_construction(self, monkeypatch):
+        # a width-0 VAE and perturbation once reached the report and failed there with
+        # "max() arg is an empty sequence", naming no field
+        monkeypatch.setattr(evaluation, "evaluate_attack", lambda *args: pytest.fail("evaluated"))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^latent_dim must be at least 1, got 0$"):
+            evaluation.evaluate_attack(
+                VaeParams.initialize(64, 0, rng),
+                Perturbation(np.zeros(0), 2, "additive", 0.01, "independent"),
+                ClassifierParams.initialize(64, rng, role="eval"),
+                generate_synthetic(20, 8, 8, seed=2),
+            )
+
     def test_report_assembly(self, tiny_vae, tiny_classifiers, tiny_data):
         attack_clf, eval_clf = tiny_classifiers
         pert = learn_attack_independent(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latentpoison import autodiff as ad
+from latentpoison import models
 from latentpoison.autodiff import ShapeMismatchError, Tensor
 from latentpoison.data import generate_synthetic
 from latentpoison.models import (
@@ -99,6 +100,31 @@ class TestForwardPasses:
         assert classify(np.zeros((5, 16)), clf).data.shape == (5, 1)
 
 
+class TestNetworkWidths:
+    # a width is checked before any weight is drawn: -1, or two adjacent zero widths,
+    # would fail in the draw with a message that names no field
+    @pytest.mark.parametrize("image_dim, latent_dim, hidden, rejected", [
+        (0, 4, (8,), "image_dim must be at least 1, got 0"),
+        (16, 0, (8,), "latent_dim must be at least 1, got 0"),
+        (16, 4, (8, 0), "hidden must be at least 1, got 0"),
+        (0, 4, (0,), "image_dim must be at least 1, got 0"),
+        (16, -1, (8,), "latent_dim must be at least 1, got -1"),
+    ])
+    def test_vae_width_below_one_rejected(self, image_dim, latent_dim, hidden, rejected):
+        with pytest.raises(ValueError, match=f"^{rejected}$"):
+            VaeParams.initialize(image_dim, latent_dim, np.random.default_rng(0), hidden=hidden)
+
+    @pytest.mark.parametrize("image_dim, hidden, rejected", [
+        (0, (8,), "image_dim must be at least 1, got 0"),
+        (16, (0,), "hidden must be at least 1, got 0"),
+        (16, (8, -1), "hidden must be at least 1, got -1"),
+        (0, (0,), "image_dim must be at least 1, got 0"),
+    ])
+    def test_classifier_width_below_one_rejected(self, image_dim, hidden, rejected):
+        with pytest.raises(ValueError, match=f"^{rejected}$"):
+            ClassifierParams.initialize(image_dim, np.random.default_rng(0), "eval", hidden)
+
+
 class TestSampleLatent:
     def test_tiny_variance_collapses_to_mean(self):
         mu = Tensor(np.array([[0.3, -0.7]]))
@@ -184,6 +210,11 @@ class TestTrainClassifier:
         )
         with pytest.raises(ValueError, match="both classes"):
             train_classifier(single, TrainConfig(epochs=1), role="attack")
+
+    def test_unknown_role_rejected_before_training(self, tiny_data, monkeypatch):
+        monkeypatch.setattr(models, "_train", lambda *args: pytest.fail("training started"))
+        with pytest.raises(ValueError, match=r"^role must be one of \('attack', 'eval'\), got 'judge'$"):
+            train_classifier(tiny_data, TrainConfig(epochs=1), role="judge")
 
     def test_role_recorded(self, tiny_data):
         config = TrainConfig(epochs=0)
