@@ -25,7 +25,7 @@ import numpy as np
 
 from .attack import VECTOR_NAMES, Perturbation
 from .data import ByteReader, _write_file
-from .models import INIT_SCHEME, ROLES, ClassifierParams, VaeParams
+from .models import INIT_SCHEME, ClassifierParams, VaeParams, _require_bound
 
 MAGIC_PREFIX = b"LPZ"
 FORMAT_VERSION = 1
@@ -93,21 +93,15 @@ def save_checkpoint(artifact, path, config: dict | None = None) -> None:
 
 
 def _split_payload(payload: bytes, shapes: list[tuple[int, ...]], path) -> list[np.ndarray]:
-    expected = sum(math.prod(s) for s in shapes) * 8
-    if len(payload) != expected:
+    sizes = [math.prod(s) for s in shapes]
+    if len(payload) != sum(sizes) * 8:
         raise CheckpointError(
-            f"{path}: payload holds {len(payload)} bytes, layout needs {expected}"
+            f"{path}: payload holds {len(payload)} bytes, layout needs {sum(sizes) * 8}"
         )
-    arrays, offset = [], 0
-    for shape in shapes:
-        n = math.prod(shape)
-        arrays.append(
-            np.frombuffer(payload, dtype="<f8", count=n, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        offset += n * 8
-    return arrays
+    # a view, copied per array: one copy of the whole payload raised peak memory by ~2 MB
+    flat = np.frombuffer(payload, dtype="<f8")
+    return [part.reshape(shape).astype(np.float64)
+            for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
 
 
 def _field(desc: dict, name: str, kind, path):
@@ -121,38 +115,34 @@ def _field(desc: dict, name: str, kind, path):
     if (
         not isinstance(value, kind)
         or (isinstance(value, bool) and kind is not bool)
-        or (kind is list and not all(isinstance(v, int) for v in value))
+        or (kind is list and not all(type(v) is int for v in value))
     ):
         raise CheckpointError(f"{path}: descriptor field {name!r} has the wrong type: {value!r}")
     return value
 
 
 def _rebuild(kind: str, desc: dict, payload: bytes, path):
-    """The artifact a descriptor and payload hold, every field read as ``_FIELDS`` lists it."""
+    """The artifact a descriptor and payload hold, built by its own layout and constructor.
+
+    Every field is read as ``_FIELDS`` lists it; a rule of the artifact rejects it
+    in the artifact's words, after the file's name.
+    """
     values = {name: _field(desc, name, json_type, path) for name, json_type in _FIELDS[kind].items()}
-    widths = [(name, values[name]) for name in ("image_dim", "latent_dim") if name in values]
-    for name, width in widths + [("hidden", width) for width in values.get("hidden", ())]:
-        if width < 1:
-            raise CheckpointError(f"{path}: descriptor field {name!r} holds a width below 1: {width}")
-    if kind == "perturbation":
-        count = 2 if values.pop("per_direction") else 1
-        arrays = _split_payload(payload, [(values.pop("latent_dim"),)] * count, path)
-        try:
+    try:
+        if kind == "perturbation":
+            count, width = (2 if values.pop("per_direction") else 1), values.pop("latent_dim")
+            _require_bound("at least 1", latent_dim=width)  # before the payload is split
+            arrays = _split_payload(payload, [(width,)] * count, path)
             return Perturbation(**dict(zip(VECTOR_NAMES, arrays)), **values)
-        except ValueError as exc:  # a field rule of Perturbation; the message names the field
-            raise CheckpointError(f"{path}: {exc}") from exc
-    if "role" in values and values["role"] not in ROLES:
-        raise CheckpointError(
-            f"{path}: descriptor field 'role' is {values['role']!r}, not one of {ROLES}"
-        )
-    network = VaeParams if kind == "vae" else ClassifierParams
-    dims = {name: value for name, value in values.items() if name != "role"}
-    shapes = [
-        shape
-        for _, fan_in, fan_out in network.layout(**dims)
-        for shape in ((fan_in, fan_out), (fan_out,))
-    ]
-    return network._from_arrays(_split_payload(payload, shapes, path), **values)
+        network = VaeParams if kind == "vae" else ClassifierParams
+        dims = {name: value for name, value in values.items() if name != "role"}
+        shapes = [shape for _, fan_in, fan_out in network.layout(**dims)
+                  for shape in ((fan_in, fan_out), (fan_out,))]
+        return network._from_arrays(_split_payload(payload, shapes, path), **values)
+    except CheckpointError:
+        raise
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def load_checkpoint(path, expect_kind: str | None = None):
@@ -179,7 +169,7 @@ def load_checkpoint(path, expect_kind: str | None = None):
     desc_bytes = reader.take(desc_len, "descriptor")  # a short file is truncated, not bad JSON
     try:
         desc = json.loads(desc_bytes.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
         raise CheckpointError(f"{path}: descriptor is not valid JSON: {exc}") from exc
     if not isinstance(desc, dict):
         raise CheckpointError(f"{path}: descriptor is not a JSON object")
@@ -194,4 +184,5 @@ def load_checkpoint(path, expect_kind: str | None = None):
         raise CheckpointHashError(f"{path}: payload hash mismatch, file is corrupt")
     if expect_kind is not None and kind != expect_kind:
         raise CheckpointError(f"{path}: holds a {kind}, expected a {expect_kind}")
-    return _rebuild(kind, desc, payload, path), desc.get("config")
+    config = _field(desc, "config", dict, path) if "config" in desc else None
+    return _rebuild(kind, desc, payload, path), config

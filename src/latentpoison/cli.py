@@ -135,11 +135,13 @@ def _load_inputs(args, both_classes=True, role=None, **kinds):
     return dataset, loaded
 
 
-def _require_recon_weight(weight: float, use: str, origin: str | None) -> None:
-    """The class-weight rule for flag ``use``, named by ``origin`` if a file key set it."""
-    if origin is None or origin.startswith("--"):
-        return _require_class_weight(weight, use, "--recon-class-weight")
-    _require_class_weight(weight, f"{origin}: {use.removeprefix('--mode ')}")
+def _require_recon_weight(weight: float, use: str, origins: dict[str, str]) -> None:
+    """The class-weight rule for ``use``, after the flag or file key that set the weight."""
+    try:
+        _require_class_weight(weight, use)
+    except ValueError as exc:
+        origin = origins.get("recon_class_weight", "--recon-class-weight")
+        raise ConfigError(f"{origin}: {exc}") from exc
 
 
 def cmd_train_vae(args) -> int:
@@ -149,8 +151,7 @@ def cmd_train_vae(args) -> int:
         raise ConfigError("--recon-class-weight needs --recon-classifier")
     [(cfg, origins)] = _merge(args, TrainConfig(), fixed=fixed)
     if args.recon_classifier:
-        _require_recon_weight(cfg.recon_class_weight, "--recon-classifier",
-                              origins.get("recon_class_weight"))
+        _require_recon_weight(cfg.recon_class_weight, "--recon-classifier", origins)
     dataset, loaded = _load_inputs(args, both_classes=False,
                                    role=("attack", "the reconstruction term"),
                                    recon_classifier="classifier")
@@ -205,8 +206,7 @@ def cmd_learn_attack(args) -> int:
     if unused:
         raise ConfigError(f"{args.mode} mode does not use {', '.join(unused)}")
     if args.mode == "poisoning+class":
-        _require_recon_weight(vae_cfg.recon_class_weight, "--mode poisoning+class",
-                              vae_origins.get("recon_class_weight"))
+        _require_recon_weight(vae_cfg.recon_class_weight, args.mode, vae_origins)
     dataset, loaded = _load_inputs(args, role=("attack", "the independent attack"),
                                    vae="vae", classifier="classifier")
     weights = REG_WEIGHT_SWEEP if args.sweep else (attack_cfg.reg_weight,)

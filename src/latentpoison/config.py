@@ -35,7 +35,11 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
 
 def load_config_file(path) -> dict[str, str]:
     path = Path(path)
-    return parse_config_text(path.read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_config_text(text, origin=str(path))
 
 
 def _coerce(value: str, template, origin: str) -> object:

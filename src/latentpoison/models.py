@@ -102,10 +102,10 @@ class TrainConfig:
         _require_bound("at least 1", batch_size=self.batch_size, latent_dim=self.latent_dim)
 
 
-def _require_class_weight(weight: float, use: str, name: str = "recon_class_weight") -> None:
-    """The class-term weight rule: ``use``, a reconstruction class term, needs ``name`` above 0."""
+def _require_class_weight(weight: float, use: str) -> None:
+    """The class-term weight rule: ``use``, a reconstruction class term, needs its weight > 0."""
     if weight <= 0:
-        raise ValueError(f"{use} needs {name} > 0, got {weight}")
+        raise ValueError(f"{use} needs recon_class_weight > 0, got {weight}")
 
 
 def _classifier_config(config: TrainConfig, role: str) -> TrainConfig:

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import struct
@@ -7,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+
+from descriptor import DEEP_ARRAY, rewrite_descriptor
 
 from latentpoison.attack import FAMILIES, MODES, Perturbation
 from latentpoison.checkpoint import (
@@ -129,16 +130,6 @@ class TestRebuiltLayout:
         assert _names_and_shapes(loaded) == _names_and_shapes(network)
 
 
-def _rewrite_descriptor(path, edit):
-    """Apply ``edit`` to a checkpoint's descriptor dict, keeping the payload and its hash."""
-    blob = path.read_bytes()
-    (desc_len,) = struct.unpack("<I", blob[5:9])
-    desc = json.loads(blob[9 : 9 + desc_len])
-    edit(desc)
-    new = json.dumps(desc).encode("utf-8")
-    path.write_bytes(blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + desc_len :])
-
-
 class TestMalformedDescriptor:
     def test_renamed_field(self, tmp_path, classifier):
         path = tmp_path / "clf.ckpt"
@@ -149,19 +140,20 @@ class TestMalformedDescriptor:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("image_dim", "16"), ("hidden", 8), ("hidden", ["8"]), ("role", None)],
+        [("image_dim", "16"), ("hidden", 8), ("hidden", ["8"]), ("hidden", [True]), ("role", None),
+         ("config", [1, 2]), ("config", None)],
     )
     def test_wrong_classifier_field_type(self, tmp_path, classifier, field, value):
         path = tmp_path / "clf.ckpt"
         save_checkpoint(classifier, path)
-        _rewrite_descriptor(path, lambda desc: desc.update({field: value}))
+        rewrite_descriptor(path, lambda desc: desc.update({field: value}))
         with pytest.raises(CheckpointError, match=f"'{field}'"):
             load_checkpoint(path)
 
     def test_missing_vae_field(self, tmp_path, vae):
         path = tmp_path / "vae.ckpt"
         save_checkpoint(vae, path)
-        _rewrite_descriptor(path, lambda desc: desc.pop("latent_dim"))
+        rewrite_descriptor(path, lambda desc: desc.pop("latent_dim"))
         with pytest.raises(CheckpointError, match="'latent_dim'"):
             load_checkpoint(path)
 
@@ -169,7 +161,7 @@ class TestMalformedDescriptor:
     def test_missing_perturbation_field(self, tmp_path, perturbation, field):
         path = tmp_path / "dz.ckpt"
         save_checkpoint(perturbation, path)
-        _rewrite_descriptor(path, lambda desc: desc.pop(field))
+        rewrite_descriptor(path, lambda desc: desc.pop(field))
         with pytest.raises(CheckpointError, match=f"'{field}'"):
             load_checkpoint(path)
 
@@ -184,7 +176,7 @@ class TestMalformedDescriptor:
     def test_rejected_perturbation_field(self, tmp_path, perturbation, field, value):
         path = tmp_path / "dz.ckpt"
         save_checkpoint(perturbation, path)
-        _rewrite_descriptor(path, lambda desc: desc.update({field: value}))
+        rewrite_descriptor(path, lambda desc: desc.update({field: value}))
         with pytest.raises(CheckpointError, match=rf"dz\.ckpt.*{field}"):
             load_checkpoint(path)
 
@@ -192,7 +184,7 @@ class TestMalformedDescriptor:
         # a multiplicative perturbation has one vector; a second one would be dead weight
         path = tmp_path / "dz.ckpt"
         save_checkpoint(_artifact("perturbation"), path)
-        _rewrite_descriptor(path, lambda desc: desc.update({"family": "multiplicative"}))
+        rewrite_descriptor(path, lambda desc: desc.update({"family": "multiplicative"}))
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert str(exc.value) == (f"{path}: per_direction needs the additive family: "
@@ -202,7 +194,7 @@ class TestMalformedDescriptor:
     def test_non_finite_reg_weight(self, tmp_path, perturbation, value):
         path = tmp_path / "dz.ckpt"
         save_checkpoint(perturbation, path)
-        _rewrite_descriptor(path, lambda desc: desc.update({"reg_weight": value}))
+        rewrite_descriptor(path, lambda desc: desc.update({"reg_weight": value}))
         with pytest.raises(CheckpointError, match=r"dz\.ckpt.*reg_weight must be finite"):
             load_checkpoint(path)
 
@@ -224,8 +216,8 @@ class TestMalformedDescriptor:
         path = tmp_path / f"{kind}.ckpt"
         save_checkpoint(_artifact(kind), path)
         value = [8, width] if field == "hidden" else width
-        _rewrite_descriptor(path, lambda desc: desc.update({field: value}))
-        message = re.escape(f"{path}: descriptor field '{field}' holds a width below 1: {width}")
+        rewrite_descriptor(path, lambda desc: desc.update({field: value}))
+        message = re.escape(f"{path}: {field} must be at least 1, got {width}")
         with pytest.raises(CheckpointError, match=f"^{message}$"):
             load_checkpoint(path)
 
@@ -233,7 +225,8 @@ class TestMalformedDescriptor:
         path = tmp_path / "clf.ckpt"
         save_checkpoint(classifier, path)
         path.write_bytes(path.read_bytes().replace(b'"role": "eval"', b'"role": "atta"'))
-        with pytest.raises(CheckpointError, match=r"clf\.ckpt.*'role'.*'atta'"):
+        with pytest.raises(CheckpointError,
+                           match=r"clf\.ckpt: role must be one of \('attack', 'eval'\), got 'atta'"):
             load_checkpoint(path)
 
     def test_descriptor_not_an_object(self, tmp_path, perturbation):
@@ -330,10 +323,10 @@ def test_every_descriptor_field_is_checked(tmp_path, kind, field, edit):
     path = tmp_path / f"{kind}.ckpt"
     save_checkpoint(_artifact(kind), path)
     if edit == "missing":
-        _rewrite_descriptor(path, lambda desc: desc.pop(field))
+        rewrite_descriptor(path, lambda desc: desc.pop(field))
     else:
         value = None if edit == "null" else _wrong_value(_FIELDS[kind][field])
-        _rewrite_descriptor(path, lambda desc: desc.update({field: value}))
+        rewrite_descriptor(path, lambda desc: desc.update({field: value}))
     with pytest.raises(CheckpointError, match=rf"{kind}\.ckpt: descriptor .*'{field}'"):
         load_checkpoint(path)
 
@@ -360,6 +353,9 @@ KINDS = st.sampled_from(sorted(_FIELDS))
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.just(10**400), st.floats(),
     st.text(max_size=6), st.lists(st.integers(-2, 40), max_size=3),
+    st.lists(st.one_of(st.integers(0, 9), st.booleans(), st.lists(st.integers(0, 9), max_size=2)),
+             min_size=1, max_size=3),
+    st.just(DEEP_ARRAY),
     st.sampled_from(["attack", "eval", "additive", "multiplicative", "independent"]),
 )
 
@@ -397,7 +393,7 @@ class TestFuzz:
     @settings(max_examples=200, deadline=None)
     def test_descriptor_edits(self, saved, kind, data):
         blobs, path = saved
-        edits = data.draw(st.dictionaries(st.sampled_from(sorted(_FIELDS[kind])),
+        edits = data.draw(st.dictionaries(st.sampled_from([*sorted(_FIELDS[kind]), "config"]),
                                           st.one_of(st.just("missing"), JSON_VALUES),
                                           min_size=1))
 
@@ -409,7 +405,7 @@ class TestFuzz:
                     desc[field] = value
 
         path.write_bytes(blobs[kind])
-        _rewrite_descriptor(path, edit)
+        rewrite_descriptor(path, edit)
         _load_or_reject(path)
 
 

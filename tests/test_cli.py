@@ -1,13 +1,17 @@
-import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from descriptor import DEEP_ARRAY, rewrite_descriptor
+
 from latentpoison import attack, cli
 from latentpoison.attack import Perturbation
-from latentpoison.models import TrainConfig, VaeParams
+from latentpoison.models import ClassifierParams, TrainConfig, VaeParams
 from latentpoison.checkpoint import load_checkpoint, save_checkpoint
 from latentpoison.cli import _learn_attack_configs, build_parser, main
 from latentpoison.config import ConfigError
@@ -79,11 +83,7 @@ def mismatched(tmp_path_factory):
     path = out / "multiplicative.ckpt"
     save_checkpoint(Perturbation(np.zeros(4), 2, "additive", 0.01, "independent",
                                  delta_reverse=np.zeros(4)), path)
-    blob = path.read_bytes()
-    (length,) = struct.unpack("<I", blob[5:9])
-    desc = json.loads(blob[9 : 9 + length]) | {"family": "multiplicative"}
-    new = json.dumps(desc).encode("utf-8")
-    path.write_bytes(blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + length :])
+    rewrite_descriptor(path, lambda desc: desc.update({"family": "multiplicative"}))
     return out
 
 
@@ -519,7 +519,7 @@ class TestAttackAndEvaluate:
         ])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {vae}: descriptor field 'latent_dim' holds a width below 1: 0\n")
+            f"error: {vae}: latent_dim must be at least 1, got 0\n")
         assert not (tmp_path / "out").exists()
 
 
@@ -710,9 +710,9 @@ TINY_GRID = [
 @pytest.mark.parametrize("command, settings, error", [
     # a setting a rule rejects, named by its flag or its file key; the config file is b.cfg
     ("train-vae --recon-classifier {art}/attack.ckpt --out {tmp}/new/vae.ckpt {train}", None,
-     "--recon-classifier needs --recon-class-weight > 0, got 0.0"),
+     "--recon-class-weight: --recon-classifier needs recon_class_weight > 0, got 0.0"),
     ("learn-attack --mode poisoning+class --recon-class-weight 0 --out-dir {tmp}/out {train}",
-     None, "--mode poisoning+class needs --recon-class-weight > 0, got 0.0"),
+     None, "--recon-class-weight: poisoning+class needs recon_class_weight > 0, got 0.0"),
     ("train-vae --config {tmp}/b.cfg --recon-classifier {art}/attack.ckpt"
      " --out {tmp}/new/vae.ckpt {train}", "recon_class_weight = 0\n",
      "{tmp}/b.cfg: key 'recon_class_weight': --recon-classifier needs recon_class_weight > 0, "
@@ -827,6 +827,46 @@ def test_every_rejection_names_its_input(
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {error.format(**fill)}\n")
     assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, message", [
+    ("train-vae {train} --recon-classifier {file} --recon-class-weight 1 --out {tmp}/out/v.ckpt",
+     "descriptor field 'hidden' has the wrong type: [True]"),
+    ("evaluate --vae {file} --perturbation {art}/perturbation.ckpt --classifier {art}/eval.ckpt"
+     " {test}", "descriptor is not valid JSON: maximum recursion depth exceeded"),
+    ("evaluate --vae {art}/vae.ckpt --perturbation {file} --classifier {art}/eval.ckpt {test}",
+     "descriptor field 'config' has the wrong type: [1, 2]"),
+    ("train-classifier {train} --role eval --config {file} --out {tmp}/out/c.ckpt",
+     "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+], ids=["bool-width", "deep-arrays", "config-echo", "non-utf8-config"])
+def test_hand_made_file_exits_2_naming_it(data_dir, artifacts, tmp_path, command, message):
+    """Each file once ended in a traceback and exit 1, or in an error naming no file."""
+    file = tmp_path / "x"
+    if "--recon-classifier" in command:  # true passes as the width 1 the payload fits
+        save_checkpoint(ClassifierParams.initialize(64, np.random.default_rng(0), "attack", (1,)),
+                        file)
+        rewrite_descriptor(file, lambda desc: desc.update({"hidden": [True]}))
+    elif "--config" in command:
+        file.write_bytes(b"epochs = 2\n\xff\n")
+    else:
+        deep = command.startswith("evaluate --vae {file}")
+        file.write_bytes((artifacts / ("vae.ckpt" if deep else "perturbation.ckpt")).read_bytes())
+        config = DEEP_ARRAY if deep else [1, 2]
+        rewrite_descriptor(file, lambda desc: desc.update({"config": config}))
+    fill = {"art": artifacts, "file": file, "tmp": tmp_path,
+            "train": " ".join(_train_args(data_dir, [])),
+            "test": f"--images {data_dir}/test-images.idx --labels {data_dir}/test-labels.idx"
+                    f" --out-dir {tmp_path}/out"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "latentpoison", *command.format(**fill).split()],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "Traceback" not in result.stderr
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: {file}: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 class TestRunGrid:

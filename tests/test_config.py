@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentpoison.config import ConfigError, merge_settings, parse_config_text
+from latentpoison.config import ConfigError, load_config_file, merge_settings, parse_config_text
 
 
 @given(st.text(max_size=200))
@@ -17,6 +17,16 @@ def test_arbitrary_text_parses_or_raises_config_error(text):
         assert str(exc).startswith("fuzz.cfg:")
     else:
         assert all(isinstance(k, str) and k for k in values)
+
+
+@pytest.mark.parametrize("data, at", [(b"\xff", 0), (b"epochs = 2\nlr = \xe9\n", 16)])
+def test_non_utf8_file_is_named(tmp_path, data, at):
+    path = tmp_path / "a.cfg"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as exc:
+        load_config_file(path)
+    assert str(exc.value).startswith(f"{path}: not UTF-8 text: 'utf-8' codec can't decode "
+                                     f"byte 0x{data[at]:02x} in position {at}: ")
 
 
 @dataclass
