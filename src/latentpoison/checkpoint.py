@@ -24,6 +24,7 @@ import struct
 import numpy as np
 
 from .attack import VECTOR_NAMES, Perturbation
+from .config import ConfigError, require_echo
 from .data import ByteReader, _write_file
 from .models import INIT_SCHEME, ClassifierParams, VaeParams, _require_bound
 
@@ -148,8 +149,8 @@ def _rebuild(kind: str, desc: dict, payload: bytes, path):
 def load_checkpoint(path, expect_kind: str | None = None):
     """Load an artifact, verifying version, structure, payload hash and kind.
 
-    Returns the artifact and the config echo stored with it:
-    ``(artifact, config_dict_or_None)``.
+    Returns the artifact and the config echo stored with it, which must keep
+    :func:`~latentpoison.config.require_echo`'s rule: ``(artifact, config_dict_or_None)``.
     """
     reader = ByteReader(path, CheckpointError)
     path = reader.path
@@ -185,4 +186,8 @@ def load_checkpoint(path, expect_kind: str | None = None):
     if expect_kind is not None and kind != expect_kind:
         raise CheckpointError(f"{path}: holds a {kind}, expected a {expect_kind}")
     config = _field(desc, "config", dict, path) if "config" in desc else None
+    try:
+        require_echo(config or {})
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return _rebuild(kind, desc, payload, path), config

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .attack import MODES, AttackConfig, learn_attack_frozen, learn_attack_protocol
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, flag_name, load_config_file, merge_settings
+from .checkpoint import load_checkpoint
+from .config import ConfigError, flag_name, load_config_file, merge_settings, require_echo
 from .data import _require_data_settings, generate_synthetic, load_idx, save_idx, split
 from .evaluation import ROW_NAMES, evaluate_attack
 from .experiment import ExperimentError, ExperimentPlan, grid_plans, run_experiment
 from .models import (ROLES, TrainConfig, _require_class_weight, _require_role,
                      _require_same_widths, train_classifier, train_vae)
-from .reporting import render_grid, write_delta, write_report
+from .reporting import render_grid, write_artifacts
 
 REG_WEIGHT_SWEEP = (0.001, 0.01, 0.1, 1.0)
 GRID_FIXED = ("mode", "family", "norm_order", "out_dir")  # run-grid sets these per plan
@@ -158,7 +158,7 @@ def cmd_train_vae(args) -> int:
     recon_classifier, _ = loaded.get("recon_classifier", (None, None))
     _echo("train-vae", cfg)
     vae = train_vae(dataset, cfg, recon_classifier)
-    save_checkpoint(vae, args.out, config=dataclasses.asdict(cfg))
+    write_artifacts(Path(args.out).parent, {Path(args.out).name: vae}, dataclasses.asdict(cfg))
     print(f"wrote {args.out}")
     return 0
 
@@ -168,7 +168,7 @@ def cmd_train_classifier(args) -> int:
     dataset, _ = _load_inputs(args)
     _echo("train-classifier", cfg)
     params = train_classifier(dataset, cfg, role=args.role)
-    save_checkpoint(params, args.out, config=dataclasses.asdict(cfg))
+    write_artifacts(Path(args.out).parent, {Path(args.out).name: params}, dataclasses.asdict(cfg))
     print(f"wrote {args.out} (role {args.role})")
     return 0
 
@@ -226,26 +226,24 @@ def cmd_learn_attack(args) -> int:
         _echo("learn-attack", cfg)
         suffix = f"_reg_{cfg.reg_weight}" if args.sweep else ""
         artifacts = networks | {"perturbation": perturbation}
-        for name, params in artifacts.items():
-            if params is not None:
-                save_checkpoint(params, out / f"{name}{suffix}.ckpt",
-                                config=dataclasses.asdict(cfg) | echo)
+        write_artifacts(out, {f"{name}{suffix}.ckpt": params for name, params in artifacts.items()},
+                        dataclasses.asdict(cfg) | echo)
         print(f"wrote {out / f'perturbation{suffix}.ckpt'}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    echo = {name: str(getattr(args, name))
+            for name in ("vae", "perturbation", "classifier", "images", "labels")}
+    require_echo(echo)
     dataset, loaded = _load_inputs(args, role=("eval", "confidence tables"), vae="vae",
                                    perturbation="perturbation", classifier="classifier")
     (vae, _), (perturbation, pert_config), (classifier, _) = loaded.values()
-    echo = {name: str(getattr(args, name))
-            for name in ("vae", "perturbation", "classifier", "images", "labels")}
     if pert_config:
         echo |= {f"attack_{k}": v for k, v in pert_config.items()}
-    report = evaluate_attack(vae, perturbation, classifier, dataset, config=echo)
+    report = evaluate_attack(vae, perturbation, classifier, dataset)
     out = Path(args.out_dir)
-    write_report(report, out / "report.csv")
-    write_delta(perturbation, out / "delta_elements.csv")
+    write_artifacts(out, {"report.csv": report, "delta_elements.csv": perturbation}, echo)
     for row in report.rows:
         print(f"{row.name}: {row.mean:.4f} +- {row.sd:.4f}")
     print(f"epsilon_plus = {report.epsilon_plus:+.4f}")

@@ -33,6 +33,20 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
     return values
 
 
+def require_echo(echo: dict) -> None:
+    """The echo rule, naming a bad key: identifier keys; bool, int, float or clean str values."""
+    for key, value in echo.items():
+        if not (isinstance(key, str) and key.isidentifier()):
+            raise ConfigError(f"config key {key!r}: not a Python identifier")
+        if not isinstance(value, (bool, int, float, str)):
+            raise ConfigError(f"config key {key!r}: expected a bool, int, float or str, "
+                              f"got {type(value).__name__}")
+        # a report's config lines are split at line breaks and their values stripped
+        if isinstance(value, str) and not (value.isprintable() and value == value.strip()):
+            raise ConfigError(f"config key {key!r}: a string may hold only printable characters "
+                              f"and no leading or trailing whitespace, got {value!r}")
+
+
 def load_config_file(path) -> dict[str, str]:
     path = Path(path)
     try:

@@ -58,7 +58,7 @@ class AttackReport:
     epsilon_minus: float
     detection_max: float
     sparsity_fraction: float
-    config: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)  # the settings echo, set as it is written
     views: dict = field(default_factory=dict, repr=False, compare=False)  # by direction
 
     def row(self, name: str) -> ConfidenceRow:
@@ -173,7 +173,6 @@ def evaluate_attack(
     perturbation: Perturbation,
     classifier: ClassifierParams,
     test_set: Dataset,
-    config: dict | None = None,
     mode: str | None = None,
 ) -> AttackReport:
     """The full report for one trained attack, over every vector's elements, and its views."""
@@ -193,6 +192,5 @@ def evaluate_attack(
         epsilon_minus=minus,
         detection_max=max(detection_probability(v) for v in elements),
         sparsity_fraction=sparsity_fraction(elements),
-        config=dict(config or {}),
         views=views,
     )

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .attack import DIRECTIONS, MODES, AttackConfig, Perturbation, learn_attack_protocol
+from .config import require_echo
 from .data import Dataset, _require_data_settings, generate_synthetic, split
 from .evaluation import AttackReport, evaluate_attack, unit_range
 from .models import (ClassifierParams, TrainConfig, VaeParams, _classifier_config,
                      _require_class_weight, train_classifier)
-from .checkpoint import save_checkpoint
-from .reporting import render_grid, write_delta, write_report
+from .reporting import grid_array, write_artifacts
 from .seeds import ATTACK, derive_seed
 
 GRID_IMAGES = 16
@@ -67,6 +67,7 @@ class ExperimentPlan:
         if self.mode == "poisoning+class":
             _require_class_weight(self.recon_class_weight, self.mode)
         self.attack_config()
+        require_echo(dataclasses.asdict(self))
 
     def vae_config(self) -> TrainConfig:
         return TrainConfig(
@@ -110,29 +111,24 @@ def write_outputs(plan: ExperimentPlan, report: AttackReport, vae: VaeParams,
                   eval_classifier: ClassifierParams, attack_classifier: ClassifierParams | None,
                   perturbation: Perturbation) -> None:
     """Save the plan's checkpoints, report and dumps, and draw its PGMs from ``report.views``."""
-    out = Path(plan.out_dir)
-    echo = dataclasses.asdict(plan)
-    save_checkpoint(vae, out / "vae.ckpt", config=echo)
-    save_checkpoint(eval_classifier, out / "eval_classifier.ckpt", config=echo)
-    if attack_classifier is not None:
-        save_checkpoint(attack_classifier, out / "attack_classifier.ckpt", config=echo)
-    save_checkpoint(perturbation, out / "perturbation.ckpt", config=echo)
-    write_report(report, out / "report.csv")
-    write_delta(perturbation, out / "delta_elements.csv")
+    files = {"vae.ckpt": vae, "eval_classifier.ckpt": eval_classifier,
+             "attack_classifier.ckpt": attack_classifier, "perturbation.ckpt": perturbation,
+             "report.csv": report, "delta_elements.csv": perturbation}
     for direction, (_, recon, attacked) in report.views.items():
         diff = unit_range(attacked - recon)
         grids = {f"recon_class{DIRECTIONS.index(direction)}": recon,
                  f"attacked_{direction}": attacked, f"diff_{direction}": diff}
         for name, pixels in grids.items():
             tiles = [image.reshape(plan.height, plan.width) for image in pixels[:GRID_IMAGES]]
-            render_grid(tiles, GRID_COLUMNS, out / f"{name}.pgm")
+            files[f"{name}.pgm"] = grid_array(tiles, GRID_COLUMNS)
+    write_artifacts(plan.out_dir, files, dataclasses.asdict(plan))
 
 
 def run_experiment(plan: ExperimentPlan) -> AttackReport:
     """Execute the full pipeline for one plan and write all outputs.
 
-    The report comes back without its views: the plan's PGMs hold them by
-    then, and a caller that keeps reports across plans keeps no pixels.
+    The report comes back without its views or echo, which the plan's files
+    hold by then, so a caller that keeps reports across plans keeps no pixels.
     """
     train_set, test_set = _stage("data")(make_dataset, plan)
     eval_classifier = _stage("train-eval-classifier")(
@@ -142,7 +138,7 @@ def run_experiment(plan: ExperimentPlan) -> AttackReport:
         learn_attack_protocol, plan.mode, train_set, plan.vae_config(), plan.attack_config()
     )
     report = _stage("evaluate")(evaluate_attack, vae, perturbation, eval_classifier, test_set,
-                                config=dataclasses.asdict(plan), mode=plan.mode)
+                                mode=plan.mode)
     _stage("write-outputs")(
         write_outputs, plan, report, vae, eval_classifier, attack_classifier, perturbation
     )

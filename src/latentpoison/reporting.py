@@ -1,4 +1,4 @@
-"""Report files and image grids.
+"""Report files, image grids, and the one writer of every command's artifacts.
 
 Reports are CSV tables preceded by a ``#``-commented metadata block, so
 they read equally well in a terminal and in a spreadsheet or script.
@@ -10,6 +10,9 @@ binary PGM (P5), chosen because it is trivially byte-exact to verify;
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 
 from .evaluation import (
@@ -20,6 +23,8 @@ from .evaluation import (
     detection_probability,
 )
 from .attack import Perturbation
+from .checkpoint import save_checkpoint
+from .config import require_echo
 from .data import _write_file
 
 REPORT_HEADER = "latentpoison attack report v1"
@@ -143,3 +148,23 @@ def grid_array(images, columns: int) -> np.ndarray:
 def render_grid(images, columns: int, path) -> None:
     """Write a PGM grid of images; all must share dimensions."""
     write_pgm(grid_array(images, columns), path)
+
+
+def write_artifacts(out_dir, files: dict, echo: dict) -> None:
+    """Write each artifact of ``files`` to ``out_dir`` under its name, in order, with ``echo``.
+
+    A report takes ``echo`` as its config block, a perturbation under a ``.csv`` name is
+    dumped by element, a 2-D array is a PGM, any other artifact a checkpoint with ``echo``
+    as its config, and None writes nothing. A rejected ``echo`` writes no file.
+    """
+    require_echo(echo)
+    for name, artifact in files.items():
+        path = Path(out_dir) / name
+        if isinstance(artifact, AttackReport):
+            write_report(dataclasses.replace(artifact, config=echo), path)
+        elif isinstance(artifact, Perturbation) and path.suffix == ".csv":
+            write_delta(artifact, path)
+        elif isinstance(artifact, np.ndarray):
+            write_pgm(artifact, path)
+        elif artifact is not None:
+            save_checkpoint(artifact, path, config=echo)

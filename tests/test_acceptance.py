@@ -16,7 +16,7 @@ from latentpoison.attack import (
     attack_loss,
     tamper,
 )
-from latentpoison.autodiff import Tensor, grad_check
+from latentpoison.autodiff import Tensor
 from latentpoison.checkpoint import (
     CheckpointHashError,
     load_checkpoint,
@@ -32,6 +32,7 @@ from latentpoison.models import (
     encode,
     vae_loss,
 )
+from gradcheck import grad_check
 
 GRAD_CHECK_HIDDEN = (16, 12)
 GRAD_CHECK_CLASSIFIER_HIDDEN = (12, 8)

@@ -36,6 +36,7 @@ from latentpoison.models import (
     vae_batch_loss,
 )
 from latentpoison.seeds import LATENT_NOISE, PARAM_INIT, SHUFFLE, stream
+from gradcheck import grad_check
 from reduction import total
 
 # Vectors drawn on a bounded power-of-two lattice: on that grid float
@@ -200,7 +201,7 @@ class TestTamperRule:
             labels = np.array([0, 1, 1, 0, 1, 0])
             return (lambda: _attack_batch_loss(vae, clf, codes, labels, vectors, config)), vectors
 
-        assert ad.grad_check(build, seed=31, fd_step=1e-5) < 1e-4
+        assert grad_check(build, seed=31, fd_step=1e-5) < 1e-4
 
     def test_second_vector_width_checked(self):
         with pytest.raises(ShapeMismatchError, match="width"):

@@ -16,11 +16,11 @@ from latentpoison.autodiff import (
     adam_step,
     backward,
     bce,
-    grad_check,
     kl_standard_normal,
     lp_penalty,
     mlp,
 )
+from gradcheck import grad_check
 from reduction import total
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)

@@ -180,6 +180,20 @@ class TestMalformedDescriptor:
         with pytest.raises(CheckpointError, match=rf"dz\.ckpt.*{field}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("config, key", [
+        ({"seed": "1\nzero_to_one,0.5,0.1"}, "seed"), ({"seed": " 1"}, "seed"),
+        ({"seed": {"nested": 1}}, "seed"), ({"seed": [1]}, "seed"), ({"seed": None}, "seed"),
+        ({"seed": 1, "2x": 1}, "2x"),
+    ], ids=["line-break", "edge-space", "nested", "list", "null", "non-identifier"])
+    def test_config_echo_breaking_the_echo_rule(self, tmp_path, perturbation, config, key):
+        # a line break in a value once escaped the config block of evaluate's report
+        path = tmp_path / "dz.ckpt"
+        save_checkpoint(perturbation, path)
+        rewrite_descriptor(path, lambda desc: desc.update({"config": config}))
+        expected = rf"^{re.escape(str(path))}: config key '{key}': "
+        with pytest.raises(CheckpointError, match=expected):
+            load_checkpoint(path)
+
     def test_multiplicative_with_a_reverse_vector(self, tmp_path):
         # a multiplicative perturbation has one vector; a second one would be dead weight
         path = tmp_path / "dz.ckpt"

@@ -604,6 +604,26 @@ class TestRejectedBeforeAnyInput:
         assert capsys.readouterr().err == f"error: --out-dir {blocker}: {blocker} is not a directory\n"
         assert _listing(tmp_path) == [Path("file")]
 
+    @pytest.mark.parametrize("command", ["evaluate", "run-grid"])
+    def test_an_echo_its_report_would_misread(self, tmp_path, capsys, monkeypatch, missing,
+                                              command):
+        # a path with a line break would end its config line early in report.csv
+        bad = str(tmp_path / "a\nb")
+        if command == "evaluate":
+            argv = ["evaluate", "--vae", bad, "--perturbation", str(tmp_path / "no.ckpt"),
+                    "--classifier", str(tmp_path / "no.ckpt"), *missing,
+                    "--out-dir", str(tmp_path / "out")]
+            key, value = "vae", bad
+        else:
+            monkeypatch.setattr(cli, "run_experiment", _no_training)
+            argv = ["run-grid", "--out-dir", bad]
+            key, value = "out_dir", str(Path(bad) / "independent_additive_l2")
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: config key {key!r}: a string may hold only "
+                                           "printable characters and no leading or trailing "
+                                           f"whitespace, got {value!r}\n")
+        assert _listing(tmp_path) == []
+
     @pytest.mark.parametrize("command", ["train-vae", "train-classifier --role eval", "render"])
     @pytest.mark.parametrize("case", ["under-a-file", "a-directory"])
     def test_out_that_cannot_be_written(self, tmp_path, capsys, missing, command, case):
@@ -836,11 +856,17 @@ def test_every_rejection_names_its_input(
      " {test}", "descriptor is not valid JSON: maximum recursion depth exceeded"),
     ("evaluate --vae {art}/vae.ckpt --perturbation {file} --classifier {art}/eval.ckpt {test}",
      "descriptor field 'config' has the wrong type: [1, 2]"),
+    ("evaluate --vae {art}/vae.ckpt --perturbation {file} --classifier {art}/eval.ckpt {test}",
+     "config key 'seed': a string may hold only printable characters"),
     ("train-classifier {train} --role eval --config {file} --out {tmp}/out/c.ckpt",
      "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
-], ids=["bool-width", "deep-arrays", "config-echo", "non-utf8-config"])
+], ids=["bool-width", "deep-arrays", "config-echo", "config-injection", "non-utf8-config"])
 def test_hand_made_file_exits_2_naming_it(data_dir, artifacts, tmp_path, command, message):
-    """Each file once ended in a traceback and exit 1, or in an error naming no file."""
+    """Each file once ended in a traceback and exit 1, or in an error naming no file.
+
+    The injected seed once passed into evaluate's report, which parse_report then failed
+    to read: "could not convert string to float: 'mean'".
+    """
     file = tmp_path / "x"
     if "--recon-classifier" in command:  # true passes as the width 1 the payload fits
         save_checkpoint(ClassifierParams.initialize(64, np.random.default_rng(0), "attack", (1,)),
@@ -851,8 +877,12 @@ def test_hand_made_file_exits_2_naming_it(data_dir, artifacts, tmp_path, command
     else:
         deep = command.startswith("evaluate --vae {file}")
         file.write_bytes((artifacts / ("vae.ckpt" if deep else "perturbation.ckpt")).read_bytes())
-        config = DEEP_ARRAY if deep else [1, 2]
-        rewrite_descriptor(file, lambda desc: desc.update({"config": config}))
+        if message.startswith("config key"):
+            injected = "1\nzero_to_one,0.5,0.1"
+            rewrite_descriptor(file, lambda desc: desc["config"].update(seed=injected))
+        else:
+            config = DEEP_ARRAY if deep else [1, 2]
+            rewrite_descriptor(file, lambda desc: desc.update({"config": config}))
     fill = {"art": artifacts, "file": file, "tmp": tmp_path,
             "train": " ".join(_train_args(data_dir, [])),
             "test": f"--images {data_dir}/test-images.idx --labels {data_dir}/test-labels.idx"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import struct
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from latentpoison import data as data_module
 from latentpoison.attack import Perturbation
 from latentpoison.checkpoint import load_checkpoint, save_checkpoint
+from latentpoison.config import ConfigError
 from latentpoison.data import (
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
@@ -25,8 +27,9 @@ from latentpoison.data import (
 )
 from latentpoison.evaluation import ROW_NAMES, AttackReport, ConfidenceRow
 from latentpoison.models import VaeParams
-from latentpoison.reporting import (delta_to_csv, grid_array, render_grid, report_to_csv,
-                                    write_delta, write_pgm, write_report)
+from latentpoison.reporting import (delta_to_csv, grid_array, parse_report, render_grid,
+                                    report_to_csv, write_artifacts, write_delta, write_pgm,
+                                    write_report)
 
 
 class TestGenerator:
@@ -299,8 +302,12 @@ def _perturbation():
     return Perturbation(np.array([0.5, -0.25, 3.0]), 1, "additive", 0.01, "independent")
 
 
+def _vae():
+    return VaeParams.initialize(16, 3, np.random.default_rng(0), hidden=(5,))
+
+
 def _save_checkpoint(out):
-    vae = VaeParams.initialize(16, 3, np.random.default_rng(0), hidden=(5,))
+    vae = _vae()
     save_checkpoint(vae, out / "vae.ckpt", config={"seed": 3})
     loaded, config = load_checkpoint(out / "vae.ckpt", expect_kind="vae")
     assert config == {"seed": 3}
@@ -343,13 +350,44 @@ def _save_idx(out):
     return ["i.idx", "l.idx"]
 
 
+def _write_artifacts(out):
+    """One call writes each artifact as its own writer does, with the same echo."""
+    echo = {"seed": 3}
+    write_artifacts(out, {"vae.ckpt": _vae(), "perturbation.ckpt": _perturbation(),
+                          "report.csv": dataclasses.replace(_report(), config={}),
+                          "delta.csv": _perturbation(), "one.pgm": _IMAGES[0], "none.ckpt": None},
+                    echo)
+    own = out.parent
+    save_checkpoint(_vae(), own / "vae.ckpt", config=echo)
+    save_checkpoint(_perturbation(), own / "perturbation.ckpt", config=echo)
+    for name in ("vae.ckpt", "perturbation.ckpt"):
+        assert (out / name).read_bytes() == (own / name).read_bytes()
+    assert (out / "report.csv").read_bytes() == report_to_csv(_report()).encode()
+    assert parse_report((out / "report.csv").read_text())[0]["config.seed"] == "3"
+    assert (out / "delta.csv").read_bytes() == delta_to_csv(_perturbation()).encode()
+    assert (out / "one.pgm").read_bytes() == _pgm(_IMAGES[0])
+    return ["vae.ckpt", "perturbation.ckpt", "report.csv", "delta.csv", "one.pgm"]
+
+
 @pytest.mark.parametrize("write", [_save_checkpoint, _write_report, _write_delta, _write_pgm,
-                                   _render_grid, _save_idx],
+                                   _render_grid, _save_idx, _write_artifacts],
                          ids=lambda write: write.__name__.lstrip("_"))
 def test_every_writer_makes_its_directories_and_writes_its_format(tmp_path, write):
     out = tmp_path / "new" / "nested"
     names = write(out)  # each writer checks its own file's bytes
     assert sorted(p.name for p in out.iterdir()) == sorted(names)  # and no .part is left
+
+
+@pytest.mark.parametrize("echo, key", [
+    ({"seed": "1\nzero_to_one,0.5,0.1"}, "seed"), ({"seed": "1 "}, "seed"),
+    ({"seed": "\u2028"}, "seed"), ({"seed": [1]}, "seed"), ({"seed": None}, "seed"),
+    ({"out dir": "x"}, "out dir"), ({1: "x"}, 1),
+], ids=["line-break", "edge-space", "line-separator", "list", "none", "space-in-key", "int-key"])
+def test_a_refused_echo_writes_nothing(tmp_path, echo, key):
+    with pytest.raises(ConfigError, match=rf"^config key {re.escape(repr(key))}: "):
+        write_artifacts(tmp_path, {"delta.csv": _perturbation(), "one.pgm": _IMAGES[0],
+                                   "report.csv": _report()}, echo)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSplit:

@@ -284,7 +284,7 @@ class TestEvaluateAttack:
         pert = learn_attack_independent(
             tiny_vae, attack_clf, tiny_data, AttackConfig(epochs=2, seed=5)
         )
-        report = evaluate_attack(tiny_vae, pert, eval_clf, tiny_data, config={"seed": 5})
+        report = evaluate_attack(tiny_vae, pert, eval_clf, tiny_data)
         assert report.mode == "independent"
         assert len(report.rows) == 6
         assert report.detection_max == max(
@@ -292,7 +292,7 @@ class TestEvaluateAttack:
         assert 0.0 <= report.sparsity_fraction <= 1.0
         assert -1.0 <= report.epsilon_plus <= 1.0
         assert -1.0 <= report.epsilon_minus <= 1.0
-        assert report.config == {"seed": 5}
+        assert report.config == {}  # the artifact writer sets the echo
         assert report.row("original_class1").name == "original_class1"
         with pytest.raises(KeyError):
             report.row("nonexistent")

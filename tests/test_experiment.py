@@ -6,6 +6,7 @@ import pytest
 from latentpoison import evaluation
 from latentpoison.attack import learn_attack_protocol
 from latentpoison.checkpoint import load_checkpoint
+from latentpoison.config import ConfigError
 from latentpoison.experiment import (
     MODES,
     ExperimentError,
@@ -54,6 +55,13 @@ class TestPlan:
         with pytest.raises(ValueError) as exc:
             _tiny_plan(tmp_path, **overrides)
         assert str(exc.value) == error
+
+    def test_an_out_dir_its_report_would_misread_rejects_the_plan(self, tmp_path):
+        out_dir = str(tmp_path / "a\nb")  # the line break would end its config line early
+        with pytest.raises(ConfigError) as exc:
+            _tiny_plan(out_dir)
+        assert str(exc.value) == ("config key 'out_dir': a string may hold only printable "
+                                  f"characters and no leading or trailing whitespace, got {out_dir!r}")
 
     def test_grid_covers_modes_and_norms(self, tmp_path):
         plans = grid_plans(tmp_path)

@@ -6,8 +6,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MODULES = ["attack", "autodiff", "checkpoint", "data", "evaluation", "experiment", "models",
-           "reporting", "seeds"]
+MODULES = ["attack", "autodiff", "checkpoint", "config", "data", "evaluation", "experiment",
+           "models", "reporting", "seeds"]
 
 
 def test_bare_import_binds_the_modules_and_encode(tmp_path):
